@@ -17,6 +17,8 @@ signals.  Subpackages refine the hierarchy:
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for every error raised by the ``repro`` library."""
@@ -176,11 +178,19 @@ class SourceConfigError(FederationError):
 
 
 class CircuitOpenError(RuntimeFederationError):
-    """An agent's circuit breaker is open; calls fast-fail until reset."""
+    """An agent's circuit breaker is open; calls fast-fail until reset.
 
-    def __init__(self, agent: str) -> None:
-        super().__init__(f"agent {agent!r} circuit is open (persistent failures)")
+    *last_error* is the failure of an earlier attempt of the same call
+    when the circuit tripped mid-retry; the message keeps it.
+    """
+
+    def __init__(self, agent: str, last_error: Optional[BaseException] = None) -> None:
+        message = f"agent {agent!r} circuit is open (persistent failures)"
+        if last_error is not None:
+            message += f"; last error: {last_error}"
+        super().__init__(message)
         self.agent = agent
+        self.last_error = last_error
 
 
 class ShardMergeError(RuntimeFederationError):

@@ -317,17 +317,13 @@ class FSM:
         rescan-on-any-write baseline.
         """
         if runtime is None:
-            from ..runtime.async_transport import AsyncInProcessTransport
             from ..runtime.runtime import FederationRuntime
             from ..runtime.transport import InProcessTransport
 
-            transport = (
-                AsyncInProcessTransport(self._agents, self._schema_host)
-                if mode == "async"
-                else InProcessTransport(self._agents, self._schema_host)
-            )
+            # the runtime lifts the in-process transport for async mode
             runtime = FederationRuntime(
-                transport=transport, policy=policy, mode=mode,
+                transport=InProcessTransport(self._agents, self._schema_host),
+                policy=policy, mode=mode,
                 shard_plan=shard_plan, cache_path=cache_path, loop=loop,
                 plan=plan, deltas=deltas,
             )

@@ -8,15 +8,15 @@ query paths and the agents:
 * :mod:`~repro.runtime.transport` — the :class:`AgentTransport`
   abstraction: in-process calls or a simulated network with injectable
   latency, drops and flaky agents;
-* :mod:`~repro.runtime.executor` — thread-pool fan-out with per-call
-  timeouts, bounded exponential-backoff retries and per-agent circuit
-  breakers;
+* :mod:`~repro.runtime.executor` — the failure model, written once: a
+  sans-IO attempt loop (per-call timeouts, bounded exponential-backoff
+  retries, per-agent circuit breakers, failure classification), the
+  fan-out shapes every engine shares, and its thread-pool driver;
 * :mod:`~repro.runtime.async_transport` / :mod:`~repro.runtime.async_executor`
-  — the asyncio twins: coroutine transports (including a fault-injecting
-  simulated network that sleeps on the loop, not a thread) and an
-  event-loop executor with ``asyncio.timeout`` deadlines and a
-  semaphore-bounded in-flight window, sharing the same policy, breaker
-  and metrics objects as the threaded path;
+  — the asyncio calling convention: coroutine transports (the same
+  fault injection, sleeping on the loop, not a thread) and the
+  event-loop driver of the same attempt loop, with ``asyncio.timeout``
+  deadlines and a semaphore-bounded in-flight window;
 * :mod:`~repro.runtime.columnar` / :mod:`~repro.runtime.mp_executor`
   — the multiprocess data plane: :class:`ColumnarExtent` encodes
   O-term extents as tuples-of-arrays (cheap to pickle, lossless), and

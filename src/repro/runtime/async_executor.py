@@ -1,70 +1,66 @@
-"""The asyncio executor: multiplex agent scans on one event loop.
+"""The asyncio driver of the failure model: multiplex scans on one loop.
 
 :class:`~repro.runtime.executor.FederationExecutor` spends an OS thread
 per in-flight scan, so its fan-out width is bounded by the pool; 256
 slow agents behind 10ms links cost ``256 / max_workers`` round-trip
-waves.  :class:`AsyncFederationExecutor` drives the same
-:class:`~repro.runtime.transport.ScanRequest` fan-out as coroutines —
-an awaiting scan costs a timer, not a thread — with semantics
-deliberately *shared*, not forked:
+waves.  :class:`AsyncFederationExecutor` steps the very same
+:class:`~repro.runtime.executor.AttemptLoop` as coroutines — an
+awaiting scan costs a timer, not a thread.  There is one failure model
+and two drivers, so retries, backoff, breaker transitions, counters and
+failure classification cannot drift between modes; a
+:class:`~repro.runtime.breaker.CircuitBreaker` instance may even be
+shared with a threaded executor (its lock never crosses an ``await``).
+What this driver adds is only its calling convention:
 
-* the same :class:`~repro.runtime.policy.RuntimePolicy` object supplies
-  retries, backoff schedule and per-call timeout;
-* the same :class:`~repro.runtime.breaker.CircuitBreaker` *instance*
-  may be shared with a threaded executor (its lock never crosses an
-  ``await``), so both paths see one failure history per agent;
-* the same :class:`~repro.runtime.metrics.RuntimeMetrics` vocabulary —
-  ``timeouts``, ``retries``, ``breaker_trips`` — keeps ``--stats``
-  identical across modes;
 * per-call deadlines use :func:`asyncio.timeout` (``asyncio.wait_for``
   before 3.11): an overdue scan's coroutine is **cancelled**, not
   abandoned — the transport sees the cancellation, and the attempt is
   recorded as a timeout, never a success;
+* an externally cancelled attempt releases a half-open probe slot
+  before the cancellation propagates;
 * fan-out width is a semaphore (``policy.max_inflight``), so admitting
   thousands of scans costs no OS resources.
 
 The executor exposes both coroutine (:meth:`run_async`,
-:meth:`run_one_async`) and synchronous (:meth:`run`, :meth:`run_one`)
-APIs.  The sync bridge submits to a lazily-started daemon event-loop
-thread, so the synchronous FSM query paths use the async mode without
-any caller becoming async themselves.  Do not call the sync API from a
-coroutine running on that same loop.
+:meth:`run_one_async`) and synchronous (:meth:`run`, :meth:`run_one`,
+plus the shared coalesced and sharded shapes) APIs.  The sync bridge
+submits to a lazily-started daemon event-loop thread, so the
+synchronous FSM query paths use the async mode without any caller
+becoming async themselves.  Do not call the sync API from a coroutine
+running on that same loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Awaitable, Callable, Dict, Iterable, List, Optional
+from typing import Any, Awaitable, Callable, Iterable, List, Optional
 
-from ..errors import (
-    AgentTimeoutError,
-    CircuitOpenError,
-    ReproError,
-    TransportError,
-)
-from .breaker import CLOSED, CircuitBreaker
-from .executor import (
-    ScanFailure,
-    ScanOutcome,
-    coalesce_by_endpoint,
-    expand_outcome,
-)
+from ..errors import AgentTimeoutError
+from .async_transport import AsyncAgentTransport
+from .breaker import CircuitBreaker
+from .executor import AttemptLoop, ScanExecutor, ScanOutcome
 from .metrics import RuntimeMetrics
 from .policy import RuntimePolicy
-from .async_transport import AsyncAgentTransport
-from .sharding import ShardPlan, ShardedOutcome, merge_outcome, split_requests
-from .transport import Scannable, ScanRequest
+from .transport import Scannable
 
 #: asyncio.timeout landed in 3.11; 3.10 falls back to wait_for
 _TIMEOUT_FACTORY = getattr(asyncio, "timeout", None)
 
 
-async def _with_deadline(awaitable: Awaitable[Any], seconds: float) -> Any:
-    if _TIMEOUT_FACTORY is not None:
-        async with _TIMEOUT_FACTORY(seconds):
+async def _with_deadline(
+    awaitable: Awaitable[Any], seconds: Optional[float], agent: str
+) -> Any:
+    """Await *awaitable*, cancelling it past *seconds* (None: no deadline)."""
+    try:
+        if seconds is None:
             return await awaitable
-    return await asyncio.wait_for(awaitable, seconds)
+        if _TIMEOUT_FACTORY is not None:
+            async with _TIMEOUT_FACTORY(seconds):
+                return await awaitable
+        return await asyncio.wait_for(awaitable, seconds)
+    except (asyncio.TimeoutError, TimeoutError):
+        raise AgentTimeoutError(agent, seconds or 0.0) from None
 
 
 class EventLoopThread:
@@ -133,12 +129,8 @@ class EventLoopThread:
         loop.close()
 
 
-#: historical private name, kept for older call sites
-_EventLoopThread = EventLoopThread
-
-
-class AsyncFederationExecutor:
-    """Schedule agent scans as coroutines under the shared failure model."""
+class AsyncFederationExecutor(ScanExecutor):
+    """Drive the failure model as coroutines on one event loop."""
 
     def __init__(
         self,
@@ -149,170 +141,60 @@ class AsyncFederationExecutor:
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
         runner: Optional[EventLoopThread] = None,
     ) -> None:
-        self.transport = transport
-        self.policy = policy or RuntimePolicy()
-        self.metrics = metrics or RuntimeMetrics()
-        self.breaker = breaker or CircuitBreaker(
-            self.policy.breaker_threshold, self.policy.breaker_reset
-        )
-        self._sleep = sleep
+        super().__init__(transport, policy, metrics, breaker, sleep)
         # a caller-supplied runner is *borrowed* (many executors can
         # multiplex on one loop thread); only a private one is closed here
         self._runner = runner if runner is not None else EventLoopThread()
         self._owns_runner = runner is None
 
     # ------------------------------------------------------------------
+    # the driver
+    # ------------------------------------------------------------------
+    async def _attempt_async(self, request: Scannable) -> AttemptLoop:
+        loop = AttemptLoop(self, request)
+        while loop.admit():
+            try:
+                value = await _with_deadline(
+                    self.transport.perform(request), self.policy.timeout, loop.endpoint
+                )
+            except BaseException as error:
+                # cancellation (shutdown, caller deadline) re-raises from
+                # here after releasing a half-open probe slot
+                backoff = loop.failed(error)
+                if backoff is not None:
+                    await self._sleep(backoff)
+            else:
+                loop.succeeded(value)
+        return loop
+
+    async def _attempt_all_async(self, requests: List[Scannable]) -> List[AttemptLoop]:
+        gate = asyncio.Semaphore(self.policy.max_inflight)
+
+        async def gated(request: Scannable) -> AttemptLoop:
+            async with gate:
+                return await self._attempt_async(request)
+
+        return list(await asyncio.gather(*(gated(request) for request in requests)))
+
+    # ------------------------------------------------------------------
     # coroutine API
     # ------------------------------------------------------------------
     async def run_one_async(self, request: Scannable) -> Any:
-        """One dispatch through the retry / breaker / deadline machinery.
-
-        As in the threaded executor, the failure domain is
-        :attr:`ScanRequest.endpoint` — per-shard circuits and histograms
-        — and a batch records one round-trip but N agent scans.
-        """
-        policy = self.policy
-        agent = request.endpoint
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_retries + 2):
-            if attempt > 1:
-                self.metrics.incr("retries")
-                await self._sleep(policy.backoff(attempt - 1))
-            probing = self.breaker.state(agent) != CLOSED
-            if not self.breaker.allow(agent):
-                self.metrics.incr("circuit_rejections")
-                raise CircuitOpenError(agent)
-            self.metrics.record_round_trip(agent)
-            self.metrics.record_agent_scan(agent, count=len(request.granules))
-            try:
-                if policy.timeout is None:
-                    value = await self.transport.perform(request)
-                else:
-                    value = await _with_deadline(
-                        self.transport.perform(request), policy.timeout
-                    )
-            except (asyncio.TimeoutError, TimeoutError):
-                self.metrics.incr("timeouts")
-                if self.breaker.record_failure(agent):
-                    self.metrics.incr("breaker_trips")
-                last_error = AgentTimeoutError(agent, policy.timeout or 0.0)
-                continue
-            except asyncio.CancelledError:
-                # externally cancelled (shutdown, caller deadline): release
-                # a half-open probe slot so the breaker stays live, then
-                # let the cancellation propagate
-                if probing:
-                    self.breaker.abandon_probe(agent)
-                raise
-            except TransportError as error:
-                self.metrics.incr("transport_failures")
-                if self.breaker.record_failure(agent):
-                    self.metrics.incr("breaker_trips")
-                last_error = error
-                continue
-            self.breaker.record_success(agent)
-            return value
-        assert last_error is not None
-        raise last_error
+        """One dispatch through the retry / breaker / deadline machinery."""
+        return self._decode((await self._attempt_async(request)).result())
 
     async def run_async(self, requests: Iterable[Scannable]) -> ScanOutcome:
         """Fan *requests* out concurrently; never raises per-scan failures."""
-        pending = list(requests)
-        results: Dict[Scannable, Any] = {}
-        failures: List[ScanFailure] = []
-        if not pending:
-            return ScanOutcome(results)
-        gate = asyncio.Semaphore(self.policy.max_inflight)
-
-        async def guarded(request: Scannable) -> None:
-            try:
-                async with gate:
-                    value = await self.run_one_async(request)
-            except CircuitOpenError as error:
-                failures.append(
-                    ScanFailure(request, str(error), "circuit_open", attempts=0)
-                )
-            except AgentTimeoutError as error:
-                failures.append(
-                    ScanFailure(
-                        request, str(error), "timeout", self.policy.max_retries + 1
-                    )
-                )
-            except TransportError as error:
-                failures.append(
-                    ScanFailure(
-                        request, str(error), "transport", self.policy.max_retries + 1
-                    )
-                )
-            except ReproError as error:
-                failures.append(ScanFailure(request, str(error), "error", attempts=1))
-            else:
-                results[request] = value
-
-        await asyncio.gather(*(guarded(request) for request in pending))
-        if failures:
-            self.metrics.incr("scan_failures", len(failures))
-        return ScanOutcome(results, failures)
-
-    async def run_coalesced_async(
-        self, requests: Iterable[ScanRequest]
-    ) -> ScanOutcome:
-        """Coalesced fan-out: one batched round-trip per endpoint, outcome
-        expanded back to per-granule shape (see the threaded twin)."""
-        outcome = await self.run_async(coalesce_by_endpoint(requests))
-        return expand_outcome(outcome, self.metrics)
-
-    async def run_sharded_async(
-        self,
-        requests: Iterable[ScanRequest],
-        plan: ShardPlan,
-        preloaded: Optional[Dict[ScanRequest, Any]] = None,
-        coalesce: bool = False,
-    ) -> ShardedOutcome:
-        """Scatter/merge as coroutines — semantics identical to
-        :meth:`FederationExecutor.run_sharded` (shared merge helpers)."""
-        groups = split_requests(requests, plan)
-        known: Dict[ScanRequest, Any] = dict(preloaded or {})
-        pending = [
-            shard_request
-            for shard_requests in groups.values()
-            for shard_request in shard_requests
-            if shard_request not in known
-        ]
-        if coalesce:
-            outcome = expand_outcome(
-                await self.run_async(coalesce_by_endpoint(pending)), self.metrics
-            )
-        else:
-            outcome = await self.run_async(pending)
-        known.update(outcome.results)
-        merged = merge_outcome(groups, known, outcome.failures)
-        for endpoint in merged.missing_endpoints:
-            self.metrics.record_missing_shard(endpoint)
-        return merged
+        return self._outcome(await self._attempt_all_async(list(requests)))
 
     # ------------------------------------------------------------------
     # synchronous bridge (what FederationRuntime calls in async mode)
     # ------------------------------------------------------------------
-    def run_one(self, request: Scannable) -> Any:
-        return self._runner.submit(self.run_one_async(request))
+    def _attempt(self, request: Scannable) -> AttemptLoop:
+        return self._runner.submit(self._attempt_async(request))
 
-    def run(self, requests: Iterable[Scannable]) -> ScanOutcome:
-        return self._runner.submit(self.run_async(requests))
-
-    def run_coalesced(self, requests: Iterable[ScanRequest]) -> ScanOutcome:
-        return self._runner.submit(self.run_coalesced_async(requests))
-
-    def run_sharded(
-        self,
-        requests: Iterable[ScanRequest],
-        plan: ShardPlan,
-        preloaded: Optional[Dict[ScanRequest, Any]] = None,
-        coalesce: bool = False,
-    ) -> ShardedOutcome:
-        return self._runner.submit(
-            self.run_sharded_async(requests, plan, preloaded, coalesce)
-        )
+    def _attempt_all(self, requests: List[Scannable]) -> List[AttemptLoop]:
+        return self._runner.submit(self._attempt_all_async(requests))
 
     def close(self) -> None:
         """Stop the bridge's event-loop thread (idempotent).

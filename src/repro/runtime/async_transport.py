@@ -3,74 +3,55 @@
 The threaded executor needs one OS thread per in-flight scan; to
 multiplex thousands of slow agents from one process the transport layer
 must *suspend* instead of *block*.  :class:`AsyncAgentTransport` is the
-coroutine twin of :class:`~repro.runtime.transport.AgentTransport`:
-``perform`` is ``async`` while the cheap metadata lookups
-(:meth:`agent_names`, :meth:`agent_for_schema`, :meth:`generation`)
-stay synchronous so the :class:`~repro.runtime.runtime.FederationRuntime`
-facade and the :class:`~repro.runtime.cache.ExtentCache` work unchanged
-across modes.
+protocol of :class:`~repro.runtime.transport.AgentTransport` with an
+``async`` ``perform``; both share the synchronous
+:class:`~repro.runtime.transport.ControlPlane` (agent lookup,
+generations, delta feeds).
 
 Three implementations ship:
 
 * :class:`AsyncInProcessTransport` — direct calls against registered
   agents (extent scans are CPU-bound and fast; no suspension needed);
-* :class:`AsyncSimulatedNetworkTransport` — injects per-agent latency,
-  jitter, drops and scripted failures through ``await asyncio.sleep``,
-  reusing the existing :class:`~repro.runtime.transport.FaultProfile`
-  vocabulary — 256 sleeping agents cost 256 timers, not 256 threads;
+* :class:`AsyncSimulatedNetworkTransport` — the one
+  :class:`~repro.runtime.transport.FaultInjector` (profiles, scripted
+  attempts, jitter and drop rolls) with its delays awaited through
+  ``asyncio.sleep`` — 256 sleeping agents cost 256 timers, not 256
+  threads;
 * :class:`AsyncTransportAdapter` — lifts any synchronous transport into
   the async protocol (its ``perform`` must not block the loop; wrap
   latency simulation with :class:`AsyncSimulatedNetworkTransport`
   instead of the thread-sleeping simulator).
+
+Control-plane calls are forwarded by the shared
+:class:`~repro.runtime.transport.DelegatingTransport` base.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import random
-import threading
 from collections import defaultdict
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from ..federation.agent import FSMAgent
-from ..errors import TransportError
 from .transport import (
-    MAX_SCRIPT_ENTRIES,
-    AgentTransport,
+    ControlPlane,
+    DelegatingTransport,
+    FaultInjector,
     FaultProfile,
     InProcessTransport,
     Scannable,
-    ScanRequest,
-    _prune_scripts,
-    transfer_item_count,
 )
 
 
-class AsyncAgentTransport:
+class AsyncAgentTransport(ControlPlane):
     """Protocol: route :class:`ScanRequest`\\ s to agents as coroutines."""
-
-    def agent_names(self) -> Tuple[str, ...]:
-        raise NotImplementedError
-
-    def agent_for_schema(self, schema_name: str) -> str:
-        """The agent hosting *schema_name* (synchronous metadata lookup)."""
-        raise NotImplementedError
-
-    def generation(self, request: ScanRequest) -> Optional[int]:
-        """Backing-store version for *request*, or None when unobservable."""
-        return None
-
-    def changes(self, request: ScanRequest, since: int) -> Optional[Any]:
-        """Delta chain from *since* (synchronous control-plane lookup)."""
-        return None
 
     async def perform(self, request: Scannable) -> Any:
         """Execute the scan (or coalesced batch) and return its raw value."""
         raise NotImplementedError
 
 
-class AsyncTransportAdapter(AsyncAgentTransport):
+class AsyncTransportAdapter(DelegatingTransport, AsyncAgentTransport):
     """Lift a synchronous :class:`AgentTransport` into the async protocol.
 
     The wrapped ``perform`` runs inline on the event loop — correct for
@@ -80,23 +61,8 @@ class AsyncTransportAdapter(AsyncAgentTransport):
     :class:`AsyncSimulatedNetworkTransport` for fault injection).
     """
 
-    def __init__(self, inner: AgentTransport) -> None:
-        self.inner = inner
-
-    def agent_names(self) -> Tuple[str, ...]:
-        return self.inner.agent_names()
-
-    def agent_for_schema(self, schema_name: str) -> str:
-        return self.inner.agent_for_schema(schema_name)
-
-    def generation(self, request: ScanRequest) -> Optional[int]:
-        return self.inner.generation(request)
-
-    def changes(self, request: ScanRequest, since: int) -> Optional[Any]:
-        return self.inner.changes(request, since)
-
     async def perform(self, request: Scannable) -> Any:
-        return self.inner.perform(request)
+        return self._inner.perform(request)
 
 
 class AsyncInProcessTransport(AsyncTransportAdapter):
@@ -110,20 +76,16 @@ class AsyncInProcessTransport(AsyncTransportAdapter):
         super().__init__(InProcessTransport(agents, schema_host))
 
 
-class AsyncSimulatedNetworkTransport(AsyncAgentTransport):
+class AsyncSimulatedNetworkTransport(FaultInjector, AsyncAgentTransport):
     """Fault injection for the asyncio path: latency without threads.
 
-    Mirrors :class:`~repro.runtime.transport.SimulatedNetworkTransport`
-    — the same per-agent :class:`FaultProfile`\\ s, the same seeded
-    reproducibility — but the delay is ``await asyncio.sleep``, so a
-    fleet of slow agents shares one event loop.  Cancellation is
-    first-class: a coroutine cancelled mid-flight (deadline, shutdown)
-    is counted in :attr:`cancelled` and never in :attr:`completed`,
-    which the cancellation tests use to prove overdue scans really die.
-
-    Bookkeeping is guarded by a :class:`threading.Lock` held only across
-    non-awaiting sections, so one instance may also serve transports
-    driven from several loops or threads in tests.
+    The fault model is the threaded simulator's own
+    :class:`~repro.runtime.transport.FaultInjector`; only the wait
+    differs — ``await asyncio.sleep``, so a fleet of slow agents shares
+    one event loop.  Cancellation is first-class: a coroutine cancelled
+    mid-flight (deadline, shutdown) is counted in :attr:`cancelled` and
+    never in :attr:`completed`, which the cancellation tests use to
+    prove overdue scans really die.
     """
 
     def __init__(
@@ -132,95 +94,25 @@ class AsyncSimulatedNetworkTransport(AsyncAgentTransport):
         default_profile: Optional[FaultProfile] = None,
         seed: int = 0,
     ) -> None:
-        self._inner = inner
-        self._default = default_profile or FaultProfile()
-        self._profiles: Dict[str, FaultProfile] = {}
-        self._attempts: Dict[Tuple[Any, ...], int] = defaultdict(int)
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
-        #: calls that reached this transport, per agent (faults included)
-        self.calls: Dict[str, int] = defaultdict(int)
+        super().__init__(inner, default_profile, seed)
         #: calls whose coroutine was cancelled mid-flight, per agent
         self.cancelled: Dict[str, int] = defaultdict(int)
         #: calls that ran to a successful return (faulted calls are the
         #: remainder: ``calls - completed - cancelled``)
         self.completed: Dict[str, int] = defaultdict(int)
-        #: granules that arrived carrying a planner pushdown hint
-        self.hints: Dict[str, int] = defaultdict(int)
-
-    # ------------------------------------------------------------------
-    def set_profile(self, agent: str, profile: FaultProfile) -> FaultProfile:
-        """Install *profile* for an agent name or shard endpoint name."""
-        self._profiles[agent] = profile
-        return profile
-
-    def profile_for(self, endpoint: str) -> FaultProfile:
-        """Endpoint profile, falling back to the base agent's, then the
-        default."""
-        if endpoint in self._profiles:
-            return self._profiles[endpoint]
-        base = endpoint.split("#", 1)[0]
-        return self._profiles.get(base, self._default)
-
-    def reset_scripts(self) -> None:
-        """Forget scripted-failure attempt counters (fresh fault run)."""
-        with self._lock:
-            self._attempts.clear()
-
-    # ------------------------------------------------------------------
-    def agent_names(self) -> Tuple[str, ...]:
-        return self._inner.agent_names()
-
-    def agent_for_schema(self, schema_name: str) -> str:
-        return self._inner.agent_for_schema(schema_name)
-
-    def generation(self, request: ScanRequest) -> Optional[int]:
-        return self._inner.generation(request)
-
-    def changes(self, request: ScanRequest, since: int) -> Optional[Any]:
-        # control-plane, like generation(): no latency or fault injection
-        return self._inner.changes(request, since)
 
     async def perform(self, request: Scannable) -> Any:
         endpoint = request.endpoint
-        profile = self.profile_for(endpoint)
-        with self._lock:
-            self.calls[endpoint] += 1
-            for granule in request.granules:
-                if granule.hint is not None:
-                    self.hints[endpoint] += 1
-            if profile.fail_times > 0:
-                # mirror the threaded simulator: attempt history only for
-                # scripted endpoints, bounded so it cannot grow forever
-                key = dataclasses.astuple(request)
-                self._attempts[key] += 1
-                attempt = self._attempts[key]
-                _prune_scripts(self._attempts, MAX_SCRIPT_ENTRIES)
-            else:
-                attempt = 1
-            jitter = self._rng.random() * profile.jitter if profile.jitter else 0.0
-            dropped = (
-                profile.drop_rate > 0.0 and self._rng.random() < profile.drop_rate
-            )
-        delay = profile.latency + jitter
+        profile, delay, fault = self._roll(request)
         try:
             if delay > 0.0:
                 await asyncio.sleep(delay)
-            if attempt <= profile.fail_times:
-                raise TransportError(
-                    f"injected failure {attempt}/{profile.fail_times} from agent "
-                    f"{endpoint!r} ({request.describe()})"
-                )
-            if dropped:
-                raise TransportError(
-                    f"reply from agent {endpoint!r} dropped "
-                    f"({request.describe()})"
-                )
+            if fault is not None:
+                raise fault
             value = await self._inner.perform(request)
-            if profile.per_item > 0.0:
-                transfer = transfer_item_count(value) * profile.per_item
-                if transfer > 0.0:
-                    await asyncio.sleep(transfer)
+            transfer = self._transfer_delay(profile, value)
+            if transfer > 0.0:
+                await asyncio.sleep(transfer)
         except asyncio.CancelledError:
             with self._lock:
                 self.cancelled[endpoint] += 1

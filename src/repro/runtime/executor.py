@@ -1,18 +1,21 @@
-"""The concurrent executor: fan extent scans out across FSM-agents.
+"""The failure model, written once, and its thread-pool driver.
 
-The seed pulled component extents one agent at a time; under per-call
-latency a global query over *n* agents paid *n* round-trips in series.
-:class:`FederationExecutor` schedules :class:`ScanRequest`\\ s on a
-thread pool (bounded by the policy's ``max_workers``) and wraps every
-attempt in the full failure model:
+How the FSM treats an FSM-agent (§3) that is slow, flaky or down lives
+here exactly once.  :class:`AttemptLoop` is one request's trip through
+it, with no IO of its own: circuit-breaker admission, round-trip and
+scan accounting, per-call **timeouts** and transport failures feeding
+the per-agent breaker and the counters, bounded **retries** with
+exponential backoff, and the one exception → :class:`ScanFailure`
+classifier.  :class:`ScanExecutor` adds the fan-out shapes every engine
+shares — :meth:`~ScanExecutor.run` (a :class:`ScanOutcome` the caller's
+:class:`~repro.runtime.policy.FailurePolicy` degrades or refuses),
+:meth:`~ScanExecutor.run_coalesced` and :meth:`~ScanExecutor.run_sharded`.
 
-* per-call **timeouts** (:class:`~repro.errors.AgentTimeoutError`);
-* bounded **retries** with exponential backoff;
-* a per-agent **circuit breaker** — persistent failers trip open and
-  fast-fail instead of burning timeouts;
-* a :class:`ScanOutcome` separating successes from failures so the
-  caller's :class:`~repro.runtime.policy.FailurePolicy` can either
-  degrade to partial answers or refuse the query.
+An engine is a *driver* stepping the loop in its own calling
+convention: :class:`FederationExecutor` on threads (a pool bounded by
+``max_workers``, deadlines from :func:`_call_with_timeout`),
+:class:`~repro.runtime.async_executor.AsyncFederationExecutor` as
+coroutines.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from ..errors import (
     ReproError,
     TransportError,
 )
-from .breaker import CircuitBreaker
+from .breaker import CLOSED, CircuitBreaker
 from .metrics import RuntimeMetrics
 from .policy import RuntimePolicy
 from .sharding import ShardPlan, ShardedOutcome, merge_outcome, split_requests
 from .transport import (
-    AgentTransport,
     BatchScanRequest,
     BatchScanResult,
     Scannable,
@@ -94,9 +96,7 @@ def coalesce_by_endpoint(requests: Iterable[ScanRequest]) -> List[Scannable]:
     return dispatches
 
 
-def expand_outcome(
-    outcome: ScanOutcome, metrics: Optional[RuntimeMetrics] = None
-) -> ScanOutcome:
+def expand_outcome(outcome: ScanOutcome, metrics: RuntimeMetrics) -> ScanOutcome:
     """Re-key a coalesced fan-out back to per-granule results.
 
     Batch values are zipped against their granules in batch order; a
@@ -118,22 +118,23 @@ def expand_outcome(
         if isinstance(failure.request, BatchScanRequest):
             for granule in failure.request.requests:
                 failures.append(dataclasses.replace(failure, request=granule))
-                if metrics is not None:
-                    metrics.record_lost_granule(granule.describe())
+                metrics.record("lost_granules", granule.describe())
         else:
             failures.append(failure)
-            if metrics is not None:
-                metrics.record_lost_granule(failure.request.describe())
+            metrics.record("lost_granules", failure.request.describe())
     return ScanOutcome(results, failures)
 
 
-def _call_with_timeout(fn: Callable[[], Any], timeout: float, agent: str) -> Any:
-    """Run *fn* in a helper thread, abandoning it past *timeout* seconds.
+def _call_with_timeout(fn: Callable[[], Any], timeout: Optional[float], agent: str) -> Any:
+    """Run *fn* in a helper thread, abandoning it past *timeout* seconds
+    (None: call it inline, with no deadline).
 
     Synchronous transports cannot be interrupted; an overdue call keeps
     running in its daemon thread and its eventual result is discarded —
     the standard thread-pool timeout compromise.
     """
+    if timeout is None:
+        return fn()
     holder: Dict[str, Any] = {}
     done = threading.Event()
 
@@ -154,16 +155,113 @@ def _call_with_timeout(fn: Callable[[], Any], timeout: float, agent: str) -> Any
     return holder["value"]
 
 
-class FederationExecutor:
-    """Schedule agent scans under the runtime policy's failure model."""
+#: error class -> ScanFailure.kind, most specific first; anything else is "error"
+_KINDS = (
+    (CircuitOpenError, "circuit_open"),
+    (AgentTimeoutError, "timeout"),
+    (TransportError, "transport"),
+)
+
+
+#: an :class:`AttemptLoop` value before any dispatch succeeded
+_PENDING = object()
+
+
+class AttemptLoop:
+    """One request's trip through the failure model, free of IO.
+
+    A driver steps it — ``while loop.admit():`` perform, then report
+    :meth:`succeeded` or :meth:`failed` and wait out the backoff the
+    latter returns.  The failure domain is :attr:`ScanRequest.endpoint`
+    (``agent#index/of`` for a shard), so each shard has its own circuit
+    and histograms.  A :class:`BatchScanRequest` is one dispatch (one
+    round-trip, one retry budget) recording N ``agent_scans``, so the
+    scan histogram stays comparable across planned and unplanned runs.
+    """
+
+    def __init__(self, executor: "ScanExecutor", request: Scannable) -> None:
+        self.request = request
+        self.endpoint = request.endpoint
+        self.policy = executor.policy
+        self.breaker = executor.breaker
+        self.metrics = executor.metrics
+        #: dispatches that actually went on the wire
+        self.dispatches = 0
+        self.value: Any = _PENDING
+        #: the final error, once the loop gave up (None on success)
+        self.error: Optional[ReproError] = None
+        self._last: Optional[TransportError] = None
+        self._probing = False
+
+    def admit(self) -> bool:
+        """Admit the next dispatch (True), or end the loop (False) — after
+        a success, a final failure, or an open circuit."""
+        if self.error is not None or self.value is not _PENDING:
+            return False
+        self._probing = self.breaker.state(self.endpoint) != CLOSED
+        if not self.breaker.allow(self.endpoint):
+            self.metrics.incr("circuit_rejections")
+            self.error = CircuitOpenError(self.endpoint, self._last)
+            return False
+        self.dispatches += 1
+        self.metrics.record("agent_round_trips", self.endpoint)
+        self.metrics.record("agent_scans", self.endpoint, len(self.request.granules))
+        return True
+
+    def succeeded(self, value: Any) -> None:
+        self.breaker.record_success(self.endpoint)
+        self.value = value
+
+    def failed(self, error: BaseException) -> Optional[float]:
+        """Account one failed dispatch; return the backoff before the next
+        attempt, or None when the loop is over.
+
+        Timeouts and transport failures feed the breaker and are retried.
+        Any other error ends the loop with no outcome for the breaker, so
+        an admitted half-open probe gives its slot back; errors outside
+        the library's taxonomy (cancellation, exits, bugs) then re-raise.
+        """
+        if not isinstance(error, TransportError):
+            if self._probing:
+                self.breaker.abandon_probe(self.endpoint)
+            if not isinstance(error, ReproError):
+                raise error
+            self.error = error
+            return None
+        timed_out = isinstance(error, AgentTimeoutError)
+        self.metrics.incr("timeouts" if timed_out else "transport_failures")
+        if self.breaker.record_failure(self.endpoint):
+            self.metrics.incr("breaker_trips")
+        self._last = error
+        if self.dispatches > self.policy.max_retries:
+            self.error = error
+            return None
+        self.metrics.incr("retries")
+        return self.policy.backoff(self.dispatches)
+
+    def result(self) -> Any:
+        """The value, or the final error raised."""
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+    def failure(self) -> ScanFailure:
+        """The exception → :class:`ScanFailure` classifier."""
+        kind = next((kind for cls, kind in _KINDS if isinstance(self.error, cls)), "error")
+        return ScanFailure(self.request, str(self.error), kind, self.dispatches)
+
+
+class ScanExecutor:
+    """The fan-out shapes every engine shares, over a driver's
+    :meth:`_attempt` (one request) and :meth:`_attempt_all` (many)."""
 
     def __init__(
         self,
-        transport: AgentTransport,
+        transport: Any,
         policy: Optional[RuntimePolicy] = None,
         metrics: Optional[RuntimeMetrics] = None,
         breaker: Optional[CircuitBreaker] = None,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], Any] = time.sleep,
     ) -> None:
         self.transport = transport
         self.policy = policy or RuntimePolicy()
@@ -173,137 +271,63 @@ class FederationExecutor:
         )
         self._sleep = sleep
 
+    def _attempt(self, request: Scannable) -> AttemptLoop:
+        """Driver hook: run *request*'s attempt loop to its end."""
+        raise NotImplementedError
+
+    def _attempt_all(self, requests: List[Scannable]) -> List[AttemptLoop]:
+        """Driver hook: run many attempt loops concurrently, in order."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     def _decode(self, value: Any) -> Any:
         """Hook: translate a transport payload to its caller-facing form.
 
-        The threaded transport already answers in instance lists, so the
-        base executor passes values through; the multiprocess executor
-        overrides this to decode the columnar wire format exactly once,
-        at the caller/cache boundary.
+        The threaded and asyncio transports already answer in instance
+        lists, so the base passes values through; the multiprocess
+        executor overrides this to decode the columnar wire format
+        exactly once, at the caller/cache boundary.
         """
         return value
 
     def run_one(self, request: Scannable) -> Any:
         """One dispatch through the retry / breaker / timeout machinery,
-        decoded to caller-facing form."""
-        return self._decode(self._run_one_raw(request))
+        decoded to caller-facing form; raises the final error."""
+        return self._decode(self._attempt(request).result())
 
-    def _run_one_raw(self, request: Scannable) -> Any:
-        """One dispatch, left in the transport's wire form.
-
-        The failure domain is :attr:`ScanRequest.endpoint` — for sharded
-        requests that is ``agent#index/of``, so each shard has its own
-        circuit and scan histogram.  A :class:`BatchScanRequest` is one
-        dispatch (one round-trip, one retry budget) carrying N granules:
-        it records one ``round_trips`` tick but N ``agent_scans``, so the
-        scan histogram stays comparable across planned and unplanned runs.
-        """
-        policy = self.policy
-        agent = request.endpoint
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_retries + 2):
-            if attempt > 1:
-                self.metrics.incr("retries")
-                self._sleep(policy.backoff(attempt - 1))
-            if not self.breaker.allow(agent):
-                self.metrics.incr("circuit_rejections")
-                raise CircuitOpenError(agent)
-            self.metrics.record_round_trip(agent)
-            self.metrics.record_agent_scan(agent, count=len(request.granules))
-            try:
-                if policy.timeout is None:
-                    value = self.transport.perform(request)
-                else:
-                    value = _call_with_timeout(
-                        lambda: self.transport.perform(request),
-                        policy.timeout,
-                        agent,
-                    )
-            except AgentTimeoutError as error:
-                self.metrics.incr("timeouts")
-                if self.breaker.record_failure(agent):
-                    self.metrics.incr("breaker_trips")
-                last_error = error
-                continue
-            except TransportError as error:
-                self.metrics.incr("transport_failures")
-                if self.breaker.record_failure(agent):
-                    self.metrics.incr("breaker_trips")
-                last_error = error
-                continue
-            self.breaker.record_success(agent)
-            return value
-        assert last_error is not None
-        raise last_error
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        requests: Iterable[Scannable],
-        _run_one: Optional[Callable[[Scannable], Any]] = None,
-    ) -> ScanOutcome:
+    def run(self, requests: Iterable[Scannable], _raw: bool = False) -> ScanOutcome:
         """Fan *requests* out; never raises for per-scan failures.
 
-        *_run_one* is internal: :meth:`run_sharded` dispatches through
-        :meth:`_run_one_raw` so shard slices stay in wire form for the
-        array-level merge, decoding once after the fold.
+        *_raw* is internal: :meth:`run_sharded` keeps shard slices in
+        wire form for the array-level merge, decoding once after the
+        fold.
         """
-        dispatch = _run_one if _run_one is not None else self.run_one
         pending = list(requests)
+        if not pending:
+            return ScanOutcome({})
+        return self._outcome(self._attempt_all(pending), _raw)
+
+    def _outcome(self, loops: Iterable[AttemptLoop], raw: bool = False) -> ScanOutcome:
         results: Dict[Scannable, Any] = {}
         failures: List[ScanFailure] = []
-        if not pending:
-            return ScanOutcome(results)
-
-        def guarded(request: Scannable) -> None:
-            try:
-                value = dispatch(request)
-            except CircuitOpenError as error:
-                failures.append(
-                    ScanFailure(request, str(error), "circuit_open", attempts=0)
-                )
-            except AgentTimeoutError as error:
-                failures.append(
-                    ScanFailure(
-                        request, str(error), "timeout", self.policy.max_retries + 1
-                    )
-                )
-            except TransportError as error:
-                failures.append(
-                    ScanFailure(
-                        request, str(error), "transport", self.policy.max_retries + 1
-                    )
-                )
-            except ReproError as error:
-                failures.append(ScanFailure(request, str(error), "error", attempts=1))
+        for loop in loops:
+            if loop.error is None:
+                results[loop.request] = loop.value if raw else self._decode(loop.value)
             else:
-                results[request] = value
-
-        workers = min(self.policy.max_workers, len(pending))
-        if workers <= 1:
-            for request in pending:
-                guarded(request)
-        else:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="fsm-scan"
-            ) as pool:
-                list(pool.map(guarded, pending))
+                failures.append(loop.failure())
         if failures:
             self.metrics.incr("scan_failures", len(failures))
         return ScanOutcome(results, failures)
 
-    # ------------------------------------------------------------------
-    def run_coalesced(self, requests: Iterable[ScanRequest]) -> ScanOutcome:
+    def run_coalesced(self, requests: Iterable[ScanRequest], _raw: bool = False) -> ScanOutcome:
         """Fan *requests* out with scan coalescing: all granules bound for
         one endpoint ride a single batched round-trip, and the outcome is
         expanded back to per-granule results/failures — callers (cache
         fills, failure policies) see exactly the shape :meth:`run` gives.
         """
-        outcome = self.run(coalesce_by_endpoint(requests))
+        outcome = self.run(coalesce_by_endpoint(requests), _raw)
         return expand_outcome(outcome, self.metrics)
 
-    # ------------------------------------------------------------------
     def run_sharded(
         self,
         requests: Iterable[ScanRequest],
@@ -329,13 +353,7 @@ class FederationExecutor:
             for shard_request in shard_requests
             if shard_request not in known
         ]
-        if coalesce:
-            outcome = expand_outcome(
-                self.run(coalesce_by_endpoint(pending), _run_one=self._run_one_raw),
-                self.metrics,
-            )
-        else:
-            outcome = self.run(pending, _run_one=self._run_one_raw)
+        outcome = (self.run_coalesced if coalesce else self.run)(pending, _raw=True)
         known.update(outcome.results)
         merged = merge_outcome(groups, known, outcome.failures)
         # slices were merged in wire form (columnar folds stay on the
@@ -345,5 +363,33 @@ class FederationExecutor:
         for shard_request, value in list(merged.shard_results.items()):
             merged.shard_results[shard_request] = self._decode(value)
         for endpoint in merged.missing_endpoints:
-            self.metrics.record_missing_shard(endpoint)
+            self.metrics.record("missing_shards", endpoint)
         return merged
+
+
+class FederationExecutor(ScanExecutor):
+    """Drive the failure model on threads: a pool for the fan-out, a
+    helper thread per deadline.  *transport* is an
+    :class:`~repro.runtime.transport.AgentTransport`."""
+
+    def _attempt(self, request: Scannable) -> AttemptLoop:
+        loop = AttemptLoop(self, request)
+        while loop.admit():
+            try:
+                value = _call_with_timeout(
+                    lambda: self.transport.perform(request), self.policy.timeout, loop.endpoint
+                )
+            except BaseException as error:
+                backoff = loop.failed(error)
+                if backoff is not None:
+                    self._sleep(backoff)
+            else:
+                loop.succeeded(value)
+        return loop
+
+    def _attempt_all(self, requests: List[Scannable]) -> List[AttemptLoop]:
+        workers = min(self.policy.max_workers, len(requests))
+        if workers <= 1:
+            return [self._attempt(request) for request in requests]
+        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="fsm-scan") as pool:
+            return list(pool.map(self._attempt, requests))

@@ -39,10 +39,12 @@ extent-store interaction (the warm-restart reload, spills on fill,
 write-through invalidations) accumulates there, so the disk tier's cost
 is visible next to ``fan_out`` and ``query``.
 
-Sharded runs additionally record *which* shard endpoints went missing:
-:attr:`RuntimeStats.missing_shards` maps ``agent#index/of`` endpoint
-names to how many merges they were absent from — the exact account the
-partial failure policy promises (ISSUE 4).
+Five counters are also broken down by label in one
+``labelled[histogram][label]`` map (:data:`HISTOGRAMS`): scans and
+round trips per endpoint, lost and fallback-evicted granules by
+description, and missing shards by ``agent#index/of`` endpoint — the
+exact account the partial failure policy promises.  :class:`RuntimeStats`
+exposes each as a read-only attribute (``stats.missing_shards``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, NamedTuple, Optional
+from typing import Dict, Iterator, Mapping, NamedTuple, Optional, Tuple
 
 
 class TimerStats(NamedTuple):
@@ -65,64 +67,60 @@ class TimerStats(NamedTuple):
         return self.total / self.count if self.count else 0.0
 
 
+#: the labelled histograms, in report order: name -> (the counter each
+#: record also bumps, the ``describe()`` heading)
+HISTOGRAMS: Dict[str, Tuple[str, str]] = {
+    # granules that reached the transport, per endpoint
+    "agent_scans": ("agent_scans", "agent scans"),
+    # wire dispatches per endpoint — the planner's coalescing win shows
+    # as this histogram dropping below agent_scans
+    "agent_round_trips": ("round_trips", "agent round-trips"),
+    # granule descriptions lost to failed coalesced dispatches
+    "lost_granules": ("lost_granules", "lost granules"),
+    # granule descriptions evicted because a delta chain could not
+    # patch them — exactly which variants a broken feed forced to rescan
+    "fallback_invalidations": ("fallback_invalidations", "fallback invalidations"),
+    # shard endpoints absent from merged answers
+    "missing_shards": ("missing_shards", "missing shards"),
+}
+
+
+def _delta(now: Mapping[str, int], before: Mapping[str, int]) -> Dict[str, int]:
+    """``now - before`` per key, dropping keys that did not move."""
+    moved = {key: value - before.get(key, 0) for key, value in now.items()}
+    return {key: value for key, value in moved.items() if value}
+
+
+def _histogram(name: str) -> property:
+    return property(lambda stats: stats.labelled[name], doc=f"the {name} histogram")
+
+
 class RuntimeStats:
     """An immutable snapshot of the collector; supports ``a - b`` deltas."""
 
     def __init__(
         self,
         counters: Mapping[str, int],
-        agent_scans: Mapping[str, int],
         timers: Mapping[str, TimerStats],
-        missing_shards: Optional[Mapping[str, int]] = None,
-        agent_round_trips: Optional[Mapping[str, int]] = None,
-        lost_granules: Optional[Mapping[str, int]] = None,
-        fallback_invalidations: Optional[Mapping[str, int]] = None,
+        labelled: Optional[Mapping[str, Mapping[str, int]]] = None,
     ) -> None:
         self.counters: Dict[str, int] = dict(counters)
-        self.agent_scans: Dict[str, int] = dict(agent_scans)
         self.timers: Dict[str, TimerStats] = dict(timers)
-        #: shard endpoints absent from merged answers -> occurrence count
-        self.missing_shards: Dict[str, int] = dict(missing_shards or {})
-        #: wire dispatches per endpoint — the planner's coalescing win
-        #: shows as this histogram dropping below :attr:`agent_scans`
-        self.agent_round_trips: Dict[str, int] = dict(agent_round_trips or {})
-        #: granule descriptions lost to failed batch dispatches -> count,
-        #: the exact account a degraded planned fan-out owes the caller
-        self.lost_granules: Dict[str, int] = dict(lost_granules or {})
-        #: granule descriptions evicted by the delta fallback -> count —
-        #: names exactly which variants a broken feed forced to rescan
-        self.fallback_invalidations: Dict[str, int] = dict(
-            fallback_invalidations or {}
-        )
+        #: histogram name (see :data:`HISTOGRAMS`) -> label -> count
+        self.labelled: Dict[str, Dict[str, int]] = {
+            name: dict((labelled or {}).get(name, {})) for name in HISTOGRAMS
+        }
+
+    agent_scans = _histogram("agent_scans")
+    agent_round_trips = _histogram("agent_round_trips")
+    lost_granules = _histogram("lost_granules")
+    fallback_invalidations = _histogram("fallback_invalidations")
+    missing_shards = _histogram("missing_shards")
 
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
     def __sub__(self, earlier: "RuntimeStats") -> "RuntimeStats":
-        counters = {
-            name: value - earlier.counters.get(name, 0)
-            for name, value in self.counters.items()
-        }
-        scans = {
-            agent: value - earlier.agent_scans.get(agent, 0)
-            for agent, value in self.agent_scans.items()
-        }
-        missing = {
-            endpoint: value - earlier.missing_shards.get(endpoint, 0)
-            for endpoint, value in self.missing_shards.items()
-        }
-        trips = {
-            endpoint: value - earlier.agent_round_trips.get(endpoint, 0)
-            for endpoint, value in self.agent_round_trips.items()
-        }
-        lost = {
-            granule: value - earlier.lost_granules.get(granule, 0)
-            for granule, value in self.lost_granules.items()
-        }
-        fallbacks = {
-            granule: value - earlier.fallback_invalidations.get(granule, 0)
-            for granule, value in self.fallback_invalidations.items()
-        }
         timers = {}
         for phase, stats in self.timers.items():
             prior = earlier.timers.get(phase, TimerStats(0, 0.0, 0.0))
@@ -133,13 +131,12 @@ class RuntimeStats:
                 stats.count - prior.count, delta_total, min(stats.max, delta_total)
             )
         return RuntimeStats(
-            {k: v for k, v in counters.items() if v},
-            {k: v for k, v in scans.items() if v},
+            _delta(self.counters, earlier.counters),
             {k: v for k, v in timers.items() if v.count},
-            {k: v for k, v in missing.items() if v},
-            {k: v for k, v in trips.items() if v},
-            {k: v for k, v in lost.items() if v},
-            {k: v for k, v in fallbacks.items() if v},
+            {
+                name: _delta(values, earlier.labelled[name])
+                for name, values in self.labelled.items()
+            },
         )
 
     def describe(self) -> str:
@@ -147,30 +144,11 @@ class RuntimeStats:
         lines = ["runtime stats:"]
         for name in sorted(self.counters):
             lines.append(f"  {name:<22} {self.counters[name]}")
-        if self.agent_scans:
-            lines.append("  agent scans:")
-            for agent in sorted(self.agent_scans):
-                lines.append(f"    {agent:<20} {self.agent_scans[agent]}")
-        if self.agent_round_trips:
-            lines.append("  agent round-trips:")
-            for endpoint in sorted(self.agent_round_trips):
-                lines.append(
-                    f"    {endpoint:<20} {self.agent_round_trips[endpoint]}"
-                )
-        if self.lost_granules:
-            lines.append("  lost granules:")
-            for granule in sorted(self.lost_granules):
-                lines.append(f"    {granule:<20} {self.lost_granules[granule]}")
-        if self.fallback_invalidations:
-            lines.append("  fallback invalidations:")
-            for granule in sorted(self.fallback_invalidations):
-                lines.append(
-                    f"    {granule:<20} {self.fallback_invalidations[granule]}"
-                )
-        if self.missing_shards:
-            lines.append("  missing shards:")
-            for endpoint in sorted(self.missing_shards):
-                lines.append(f"    {endpoint:<20} {self.missing_shards[endpoint]}")
+        for name, (_, heading) in HISTOGRAMS.items():
+            values = self.labelled[name]
+            if values:
+                lines.append(f"  {heading}:")
+                lines.extend(f"    {label:<20} {values[label]}" for label in sorted(values))
         if self.timers:
             lines.append("  phases:")
             for phase in sorted(self.timers):
@@ -194,64 +172,28 @@ class RuntimeMetrics:
         self._clock = clock
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._agent_scans: Dict[str, int] = {}
         self._timers: Dict[str, TimerStats] = {}
-        self._missing_shards: Dict[str, int] = {}
-        self._agent_round_trips: Dict[str, int] = {}
-        self._lost_granules: Dict[str, int] = {}
-        self._fallback_invalidations: Dict[str, int] = {}
+        self._labelled: Dict[str, Dict[str, int]] = {name: {} for name in HISTOGRAMS}
 
     # ------------------------------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
+    def record(self, histogram: str, label: str, count: int = 1) -> None:
+        """Add *count* to *label* in one of the :data:`HISTOGRAMS`, and to
+        the counter that histogram breaks down."""
+        counter = HISTOGRAMS[histogram][0]
+        with self._lock:
+            self._counters[counter] = self._counters.get(counter, 0) + count
+            values = self._labelled[histogram]
+            values[label] = values.get(label, 0) + count
+
     def record_agent_scan(self, agent: str, count: int = 1) -> None:
-        """*count* granules reached the transport for *agent* (a batch of
-        N granules records N, keeping this histogram dispatch-shape
-        independent — planned and unplanned runs scan the same granules)."""
-        with self._lock:
-            self._counters["agent_scans"] = (
-                self._counters.get("agent_scans", 0) + count
-            )
-            self._agent_scans[agent] = self._agent_scans.get(agent, 0) + count
-
-    def record_round_trip(self, endpoint: str) -> None:
-        """One dispatch went on the wire to *endpoint* — batch or single."""
-        with self._lock:
-            self._counters["round_trips"] = self._counters.get("round_trips", 0) + 1
-            self._agent_round_trips[endpoint] = (
-                self._agent_round_trips.get(endpoint, 0) + 1
-            )
-
-    def record_lost_granule(self, description: str) -> None:
-        """One granule of a failed batch dispatch could not be answered."""
-        with self._lock:
-            self._counters["lost_granules"] = (
-                self._counters.get("lost_granules", 0) + 1
-            )
-            self._lost_granules[description] = (
-                self._lost_granules.get(description, 0) + 1
-            )
+        self.record("agent_scans", agent, count)
 
     def record_fallback_invalidation(self, description: str) -> None:
-        """One cache variant was evicted because its delta chain could
-        not patch it — the targeted fallback the delta path promises."""
-        with self._lock:
-            self._counters["fallback_invalidations"] = (
-                self._counters.get("fallback_invalidations", 0) + 1
-            )
-            self._fallback_invalidations[description] = (
-                self._fallback_invalidations.get(description, 0) + 1
-            )
-
-    def record_missing_shard(self, endpoint: str) -> None:
-        """One shard endpoint's slice was absent from a merged answer."""
-        with self._lock:
-            self._counters["missing_shards"] = (
-                self._counters.get("missing_shards", 0) + 1
-            )
-            self._missing_shards[endpoint] = self._missing_shards.get(endpoint, 0) + 1
+        self.record("fallback_invalidations", description)
 
     def record_phase(self, phase: str, elapsed: float) -> None:
         with self._lock:
@@ -272,22 +214,11 @@ class RuntimeMetrics:
     # ------------------------------------------------------------------
     def snapshot(self) -> RuntimeStats:
         with self._lock:
-            return RuntimeStats(
-                self._counters,
-                self._agent_scans,
-                self._timers,
-                self._missing_shards,
-                self._agent_round_trips,
-                self._lost_granules,
-                self._fallback_invalidations,
-            )
+            return RuntimeStats(self._counters, self._timers, self._labelled)
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
-            self._agent_scans.clear()
             self._timers.clear()
-            self._missing_shards.clear()
-            self._agent_round_trips.clear()
-            self._lost_granules.clear()
-            self._fallback_invalidations.clear()
+            for values in self._labelled.values():
+                values.clear()

@@ -24,9 +24,9 @@ the GIL: E-R1/E-R4 show throughput flatlining as workers are added.
   ``generation``, ``changes``, agent lookup — stay parent-side, so the
   cache, persistence and delta-feed paths are byte-for-byte the ones
   the threaded runtime uses;
-* :class:`MultiprocessFederationExecutor` inherits the retry, backoff,
-  deadline (:func:`~repro.runtime.executor._call_with_timeout`) and
-  circuit-breaker machinery from the threaded twin unchanged, and
+* :class:`MultiprocessFederationExecutor` inherits the threaded driver
+  of the one failure model (retry, backoff, breaker, and deadlines via
+  :func:`~repro.runtime.executor._call_with_timeout`) unchanged, and
   decodes columnar payloads exactly once at the caller/cache boundary
   (shard merges fold the arrays first, see
   :func:`~repro.runtime.sharding.merge_shard_values`).
@@ -68,6 +68,7 @@ from .transport import (
     AgentTransport,
     BatchScanRequest,
     BatchScanResult,
+    DelegatingTransport,
     InProcessTransport,
     Scannable,
 )
@@ -317,7 +318,7 @@ def _worker_scan(request: Scannable) -> Any:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-class ProcessPoolTransport(AgentTransport):
+class ProcessPoolTransport(DelegatingTransport, AgentTransport):
     """Dispatch scans to a spawn-based worker pool; control plane stays local.
 
     Wraps an :class:`InProcessTransport` (or a chain ending in one):
@@ -333,7 +334,7 @@ class ProcessPoolTransport(AgentTransport):
         workers: int = 8,
         mp_context: Optional[multiprocessing.context.BaseContext] = None,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._registry = _find_in_process(inner)
         self._workers = max(1, int(workers))
         # spawn unconditionally: matches macOS/Windows semantics and
@@ -345,19 +346,6 @@ class ProcessPoolTransport(AgentTransport):
         self._closed = False
         #: pool (re)builds — 1 on first dispatch, +1 per staleness refresh
         self.rebuilds = 0
-
-    # -------------------------------------------------- control plane
-    def agent_names(self) -> Tuple[str, ...]:
-        return self._inner.agent_names()
-
-    def agent_for_schema(self, schema_name: str) -> str:
-        return self._inner.agent_for_schema(schema_name)
-
-    def generation(self, request: Any) -> Optional[int]:
-        return self._inner.generation(request)
-
-    def changes(self, request: Any, since: int) -> Optional[Any]:
-        return self._inner.changes(request, since)
 
     # -------------------------------------------------- pool lifecycle
     def _build_pool(self) -> None:

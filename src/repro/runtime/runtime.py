@@ -13,13 +13,14 @@ exposes the scan API the evaluation paths need —
 * :meth:`invalidate` / :meth:`bump_generation` for cache control;
 * :meth:`stats` for the observable autonomy / performance counters.
 
-Three execution modes share this facade.  ``mode="threaded"`` (default)
-fans scans across a thread pool; ``mode="async"`` multiplexes them as
-coroutines on one event loop via
+Three execution modes share this facade and one failure model — the
+attempt loop of :mod:`~repro.runtime.executor`, stepped by two drivers.
+``mode="threaded"`` (default) drives it on a thread pool;
+``mode="async"`` drives it as coroutines on one event loop via
 :class:`~repro.runtime.async_executor.AsyncFederationExecutor`, so
 thousands of slow agents cost timers instead of threads;
-``mode="multiprocess"`` ships shard scans to ``spawn``-ed worker
-processes via
+``mode="multiprocess"`` keeps the threaded driver but ships shard scans
+to ``spawn``-ed worker processes via
 :class:`~repro.runtime.mp_executor.MultiprocessFederationExecutor`,
 exchanging :class:`~repro.runtime.columnar.ColumnarExtent` payloads so
 CPU-bound per-item work escapes the GIL.  All modes feed the same
@@ -61,20 +62,17 @@ pair list through the query planner (:mod:`repro.runtime.planner`).
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import PartialResultError, RuntimeFederationError
 from ..federation.agent import FSMAgent
 from ..model.instances import ObjectInstance
 from .async_executor import AsyncFederationExecutor, EventLoopThread
-from .async_transport import (
-    AsyncAgentTransport,
-    AsyncInProcessTransport,
-    AsyncTransportAdapter,
-)
+from .async_transport import AsyncAgentTransport, AsyncTransportAdapter
 from .breaker import CircuitBreaker
 from .cache import MISS, ExtentCache
-from .executor import FederationExecutor, ScanOutcome
+from .executor import FederationExecutor, ScanExecutor, ScanOutcome
 from .metrics import RuntimeMetrics, RuntimeStats
 from .mp_executor import MultiprocessFederationExecutor, wrap_multiprocess
 from .persistence import PersistentExtentStore
@@ -114,11 +112,7 @@ class FederationRuntime:
                 raise PartialResultError(
                     "FederationRuntime needs agents or an explicit transport"
                 )
-            transport = (
-                AsyncInProcessTransport(agents)
-                if mode == "async"
-                else InProcessTransport(agents)
-            )
+            transport = InProcessTransport(agents)
         if mode == "async" and isinstance(transport, AgentTransport):
             transport = AsyncTransportAdapter(transport)
         if mode in ("threaded", "multiprocess") and isinstance(
@@ -141,17 +135,14 @@ class FederationRuntime:
         # explicit None test: an empty ExtentCache has len() == 0 and is
         # falsy, so `cache or ExtentCache()` would drop a persistent one
         self.cache = cache if cache is not None else ExtentCache()
-        self.breaker = breaker or CircuitBreaker(
-            self.policy.breaker_threshold, self.policy.breaker_reset
-        )
-        self.executor: "FederationExecutor | AsyncFederationExecutor"
+        self.executor: ScanExecutor
         if mode == "async":
             assert isinstance(transport, AsyncAgentTransport)
             # *loop* lets many runtimes (one per service tenant) multiplex
             # their scans on one shared event-loop thread; the loop's
             # owner closes it, not this runtime
             self.executor = AsyncFederationExecutor(
-                transport, self.policy, self.metrics, self.breaker, runner=loop
+                transport, self.policy, self.metrics, breaker, runner=loop
             )
         elif mode == "multiprocess":
             assert isinstance(transport, AgentTransport)
@@ -163,13 +154,14 @@ class FederationRuntime:
             )
             self.transport = transport
             self.executor = MultiprocessFederationExecutor(
-                transport, self.policy, self.metrics, self.breaker
+                transport, self.policy, self.metrics, breaker
             )
         else:
             assert isinstance(transport, AgentTransport)
             self.executor = FederationExecutor(
-                transport, self.policy, self.metrics, self.breaker
+                transport, self.policy, self.metrics, breaker
             )
+        self.breaker = self.executor.breaker
         #: scatter/merge plan; None means classic one-scan-per-extent
         self.shard_plan: Optional[ShardPlan] = ShardPlan.coerce(shard_plan)
         #: query planning: coalesce fan-outs into batched round-trips and
@@ -221,7 +213,8 @@ class FederationRuntime:
         """One scan through cache + executor, honouring the failure policy."""
         self.metrics.incr("requests")
         if self.shard_plan is not None:
-            return self._fetch_sharded(request, empty)
+            extents = self._scan_extents_sharded([request], fan_out=False)
+            return extents.get((request.schema, request.class_name), empty)
         cached = self._cache_get(request)
         if cached is not MISS:
             return cached
@@ -238,26 +231,6 @@ class FederationRuntime:
             return empty
         self._cache_put(request, value)
         return value
-
-    def _fetch_sharded(self, request: ScanRequest, empty: Any) -> Any:
-        """One logical scan scattered across the shard plan and merged."""
-        plan = self.shard_plan
-        assert plan is not None
-        shard_requests = plan.split(request)
-        preloaded: Dict[ScanRequest, Any] = {}
-        for shard_request in shard_requests:
-            cached = self._cache_get(shard_request)
-            if cached is not MISS:
-                preloaded[shard_request] = cached
-        if len(preloaded) == len(shard_requests):
-            return merge_shard_values(
-                request.op, [preloaded[r] for r in shard_requests]
-            )
-        self.metrics.incr("sharded_scans")
-        outcome = self.executor.run_sharded([request], plan, preloaded)
-        self._cache_shard_results(outcome, preloaded)
-        self._apply_sharded_failure_policy(outcome)
-        return outcome.results.get(request, empty)
 
     # ------------------------------------------------------------------
     # fan-out
@@ -306,7 +279,7 @@ class FederationRuntime:
         return extents
 
     def _scan_extents_sharded(
-        self, requests: Sequence[ScanRequest]
+        self, requests: Sequence[ScanRequest], fan_out: bool = True
     ) -> Dict[Tuple[str, str], List[ObjectInstance]]:
         """The sharded fan-out: scatter every logical miss, merge slices.
 
@@ -315,6 +288,10 @@ class FederationRuntime:
         only — the warm slices ride along as *preloaded*).  Under the
         ``PARTIAL`` policy a logical request missing some shards still
         appears in the mapping, carrying the slices that survived.
+
+        Single scans pass ``fan_out=False``: their shards are neither
+        coalesced (a lost shard is a missing shard, never a lost
+        granule) nor timed as the ``fan_out`` phase.
         """
         plan = self.shard_plan
         assert plan is not None
@@ -337,24 +314,22 @@ class FederationRuntime:
                 to_fetch.append(request)
         if to_fetch:
             self.metrics.incr("sharded_scans", len(to_fetch))
-            with self.metrics.timer("fan_out"):
+            with self.metrics.timer("fan_out") if fan_out else nullcontext():
                 outcome = self.executor.run_sharded(
-                    to_fetch, plan, preloaded, coalesce=self.plan_enabled
+                    to_fetch, plan, preloaded, coalesce=fan_out and self.plan_enabled
                 )
-            self._cache_shard_results(outcome, preloaded)
-            self._apply_sharded_failure_policy(outcome)
+            for shard_request, value in outcome.shard_results.items():
+                if shard_request not in preloaded:
+                    self._cache_put(shard_request, value)
+            self._apply_failure_policy(outcome)
             for request, value in outcome.results.items():
                 extents[(request.schema, request.class_name)] = value
         return extents
 
-    def _cache_shard_results(
-        self, outcome: ShardedOutcome, preloaded: Mapping[ScanRequest, Any]
-    ) -> None:
-        for shard_request, value in outcome.shard_results.items():
-            if shard_request not in preloaded:
-                self._cache_put(shard_request, value)
-
-    def _apply_failure_policy(self, outcome: ScanOutcome) -> None:
+    def _apply_failure_policy(self, outcome: "ScanOutcome | ShardedOutcome") -> None:
+        """``ERROR`` refuses a partial outcome; ``PARTIAL`` keeps its
+        warnings and counts one partial result per failed scan — per
+        partially merged logical request, for a sharded outcome."""
         if not outcome.partial:
             return
         if self.policy.failure_policy is FailurePolicy.ERROR:
@@ -362,17 +337,8 @@ class FederationRuntime:
                 "; ".join(outcome.warnings()), failures=outcome.failures
             )
         self.last_warnings.extend(outcome.warnings())
-        self.metrics.incr("partial_results", len(outcome.failures))
-
-    def _apply_sharded_failure_policy(self, outcome: ShardedOutcome) -> None:
-        if not outcome.partial:
-            return
-        if self.policy.failure_policy is FailurePolicy.ERROR:
-            raise PartialResultError(
-                "; ".join(outcome.warnings()), failures=outcome.failures
-            )
-        self.last_warnings.extend(outcome.warnings())
-        self.metrics.incr("partial_results", len(outcome.missing))
+        lost = outcome.missing if isinstance(outcome, ShardedOutcome) else outcome.failures
+        self.metrics.incr("partial_results", len(lost))
 
     # ------------------------------------------------------------------
     # cache plumbing
@@ -404,7 +370,7 @@ class FederationRuntime:
         if outcome.granules_patched:
             self.metrics.incr("granules_patched", outcome.granules_patched)
         for description, _reason in outcome.fallbacks:
-            self.metrics.record_fallback_invalidation(description)
+            self.metrics.record("fallback_invalidations", description)
 
     def _cache_put(self, request: ScanRequest, value: Any) -> None:
         if self.policy.cache_enabled:
@@ -433,10 +399,6 @@ class FederationRuntime:
 
     def timer(self, phase: str):
         return self.metrics.timer(phase)
-
-    def agent_access_counts(self) -> Dict[str, int]:
-        """Scans that reached each agent (injected-fault attempts included)."""
-        return dict(self.stats().agent_scans)
 
     def drain_warnings(self) -> List[str]:
         """Return and clear the accumulated degradation warnings."""

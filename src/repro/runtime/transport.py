@@ -53,7 +53,7 @@ _OPS = ("direct_extent", "extent", "value_set")
 MAX_SCRIPT_ENTRIES = 1024
 
 
-def _prune_scripts(attempts: Dict[Tuple[Any, ...], int], cap: int) -> None:
+def _prune_scripts(attempts: Dict[Any, int], cap: int) -> None:
     """Evict the oldest attempt counters once *attempts* exceeds *cap*.
 
     Dicts iterate in insertion order, so the front of the table is the
@@ -274,8 +274,9 @@ def transfer_item_count(result: Any) -> int:
         return 1
 
 
-class AgentTransport:
-    """Protocol: route :class:`ScanRequest`\\ s to component systems."""
+class ControlPlane:
+    """The synchronous half of both transport protocols: cheap, local
+    lookups with no latency or fault injection, the same in every mode."""
 
     def agent_names(self) -> Tuple[str, ...]:
         raise NotImplementedError
@@ -303,6 +304,10 @@ class AgentTransport:
         ``None`` when a feed exists but cannot cover the span.
         """
         return None
+
+
+class AgentTransport(ControlPlane):
+    """Protocol: route :class:`ScanRequest`\\ s to component systems."""
 
     def perform(self, request: Scannable) -> Any:
         """Execute the scan (or coalesced batch) and return its raw value."""
@@ -401,8 +406,28 @@ class FaultProfile:
     per_item: float = 0.0
 
 
-class SimulatedNetworkTransport(AgentTransport):
-    """A transport decorator that injects latency, drops and failures.
+class DelegatingTransport(ControlPlane):
+    """Control-plane forwarding to the wrapped transport ``_inner``, for
+    wrappers that change only how a scan is *performed*."""
+
+    def __init__(self, inner: Any) -> None:
+        self._inner = inner
+
+    def agent_names(self) -> Tuple[str, ...]:
+        return self._inner.agent_names()
+
+    def agent_for_schema(self, schema_name: str) -> str:
+        return self._inner.agent_for_schema(schema_name)
+
+    def generation(self, request: ScanRequest) -> Optional[int]:
+        return self._inner.generation(request)
+
+    def changes(self, request: ScanRequest, since: int) -> Optional[Any]:
+        return self._inner.changes(request, since)
+
+
+class FaultInjector(DelegatingTransport):
+    """The simulated network's fault model, shared by both simulators.
 
     Per-agent :class:`FaultProfile`\\ s are installed with
     :meth:`set_profile`; agents without one use *default_profile*.  A
@@ -410,22 +435,26 @@ class SimulatedNetworkTransport(AgentTransport):
     lookup tries the exact endpoint first, then the base agent — so a
     single shard can be killed while its siblings stay healthy.
     Randomness is seeded, so runs are reproducible.
+
+    :meth:`_roll` decides one call's fate under the lock; the threaded
+    and asyncio simulators differ only in how they wait out the delay.
+    Scripted failures count attempts per request *as the request
+    compares*: a pushdown hint is excluded from equality, so a hinted
+    and an unhinted scan of one granule share one attempt history.
     """
 
     def __init__(
         self,
-        inner: AgentTransport,
+        inner: Any,
         default_profile: Optional[FaultProfile] = None,
         seed: int = 0,
-        clock: Any = time.sleep,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._default = default_profile or FaultProfile()
         self._profiles: Dict[str, FaultProfile] = {}
-        self._attempts: Dict[Tuple[Any, ...], int] = defaultdict(int)
+        self._attempts: Dict[Scannable, int] = defaultdict(int)
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._sleep = clock
         #: calls that reached this transport, per agent (injected faults
         #: included) — the "network side" view of the access histogram
         self.calls: Dict[str, int] = defaultdict(int)
@@ -453,20 +482,11 @@ class SimulatedNetworkTransport(AgentTransport):
             self._attempts.clear()
 
     # ------------------------------------------------------------------
-    def agent_names(self) -> Tuple[str, ...]:
-        return self._inner.agent_names()
-
-    def agent_for_schema(self, schema_name: str) -> str:
-        return self._inner.agent_for_schema(schema_name)
-
-    def generation(self, request: ScanRequest) -> Optional[int]:
-        return self._inner.generation(request)
-
-    def changes(self, request: ScanRequest, since: int) -> Optional[Any]:
-        # control-plane, like generation(): no latency or fault injection
-        return self._inner.changes(request, since)
-
-    def perform(self, request: Scannable) -> Any:
+    def _roll(
+        self, request: Scannable
+    ) -> Tuple[FaultProfile, float, Optional[TransportError]]:
+        """One call's fate: its profile, the delay before the reply, and
+        the injected error to raise after that delay (None to go on)."""
         endpoint = request.endpoint
         profile = self.profile_for(endpoint)
         with self._lock:
@@ -477,9 +497,8 @@ class SimulatedNetworkTransport(AgentTransport):
             if profile.fail_times > 0:
                 # only scripted endpoints need per-request attempt history;
                 # tracking every healthy request would grow without bound
-                key = dataclasses.astuple(request)
-                self._attempts[key] += 1
-                attempt = self._attempts[key]
+                self._attempts[request] += 1
+                attempt = self._attempts[request]
                 _prune_scripts(self._attempts, MAX_SCRIPT_ENTRIES)
             else:
                 attempt = 1
@@ -487,21 +506,48 @@ class SimulatedNetworkTransport(AgentTransport):
             dropped = (
                 profile.drop_rate > 0.0 and self._rng.random() < profile.drop_rate
             )
-        delay = profile.latency + jitter
-        if delay > 0.0:
-            self._sleep(delay)
+        fault = None
         if attempt <= profile.fail_times:
-            raise TransportError(
+            fault = TransportError(
                 f"injected failure {attempt}/{profile.fail_times} from agent "
                 f"{endpoint!r} ({request.describe()})"
             )
-        if dropped:
-            raise TransportError(
+        elif dropped:
+            fault = TransportError(
                 f"reply from agent {endpoint!r} dropped ({request.describe()})"
             )
+        return profile, profile.latency + jitter, fault
+
+    @staticmethod
+    def _transfer_delay(profile: FaultProfile, result: Any) -> float:
+        """Seconds the reply takes to cross the wire (``per_item`` pricing)."""
+        if profile.per_item <= 0.0:
+            return 0.0
+        return transfer_item_count(result) * profile.per_item
+
+
+class SimulatedNetworkTransport(FaultInjector, AgentTransport):
+    """A transport decorator that injects latency, drops and failures,
+    waiting them out on the calling thread (see :class:`FaultInjector`)."""
+
+    def __init__(
+        self,
+        inner: AgentTransport,
+        default_profile: Optional[FaultProfile] = None,
+        seed: int = 0,
+        clock: Any = time.sleep,
+    ) -> None:
+        super().__init__(inner, default_profile, seed)
+        self._sleep = clock
+
+    def perform(self, request: Scannable) -> Any:
+        profile, delay, fault = self._roll(request)
+        if delay > 0.0:
+            self._sleep(delay)
+        if fault is not None:
+            raise fault
         result = self._inner.perform(request)
-        if profile.per_item > 0.0:
-            transfer = transfer_item_count(result) * profile.per_item
-            if transfer > 0.0:
-                self._sleep(transfer)
+        transfer = self._transfer_delay(profile, result)
+        if transfer > 0.0:
+            self._sleep(transfer)
         return result
