@@ -27,7 +27,10 @@ federation runtime's load-bearing numbers regress:
 * in the E-R7 sources section, fewer than 100 000 instances, any warm
   agent scan, a scan-free cold run, zero answers, or answers diverging
   from the in-memory federation — the source-adapter layer stopped
-  being a transparent ComponentStore over disk-backed components;
+  being a transparent ComponentStore over disk-backed components; and
+  a warm query not at least 4x faster than the cold one
+  (``warm_ms * WARM_SPEEDUP > cold_ms``) — the warm path went back to
+  re-lifting and re-copying the facts of cached extents;
 * in the E-R8 deltas section, no writes in the mixed load, patched
   agent scans not strictly below the generation-bump baseline's, any
   granule patched on the baseline side, zero granules patched on the
@@ -57,6 +60,10 @@ import json
 import sys
 from pathlib import Path
 from typing import List, Optional
+
+
+#: E-R7: the cold query must take at least this many times the warm one
+WARM_SPEEDUP = 4
 
 
 def _load(path: str) -> dict:
@@ -245,6 +252,13 @@ def check(
             problems.append(
                 "sources answers_match_memory is false (the sqlite-backed "
                 "federation diverged from the in-memory baseline)"
+            )
+        sources_warm_ms = sources.get("warm_ms", float("inf"))
+        sources_cold_ms = sources.get("cold_ms", 0.0)
+        if sources_warm_ms * WARM_SPEEDUP > sources_cold_ms:
+            problems.append(
+                f"sources warm_ms {sources_warm_ms} is not {WARM_SPEEDUP}x below "
+                f"cold_ms {sources_cold_ms} (warm queries re-lift cached extents)"
             )
 
     deltas = fresh.get("deltas", {})

@@ -19,6 +19,7 @@ paper's autonomy argument made observable.
 
 from __future__ import annotations
 
+import functools
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -32,10 +33,11 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..runtime.cache import EntryVersion
     from ..runtime.planner import QueryPlan
     from ..runtime.runtime import FederationRuntime
 
-from ..integration.result import IntegratedSchema
+from ..integration.result import IntegratedClass, IntegratedSchema
 from ..logic.atoms import Atom
 from ..logic.engine import FactStore, FactTuple, QueryEngine, iter_value_elements
 from ..logic.labelled import LabelledProgram, SchemaSource
@@ -96,6 +98,13 @@ def lift_facts(
     concurrent fan-out (cached, retried, circuit-broken); the lifting
     loop then runs over the prefetched scans.  Extents the runtime could
     not serve (failed agents under the ``PARTIAL`` policy) lift as empty.
+    Each ``(N, s, c)`` slice lifted from a cached extent granule is kept
+    on that granule's cache entry and reused while the entry is served
+    (:meth:`~repro.runtime.runtime.FederationRuntime.lift_slice`): the
+    result is then a :class:`FactStore` layered over the shared slices.
+    Slices are keyed by *integrated*'s identity and the *mappings*
+    registry's identity and version, so a re-integration or a
+    registration lifts afresh.
 
     A *plan* (:class:`~repro.runtime.planner.QueryPlan`) restricts both
     the prefetch and the lifting loop to the integrated classes that can
@@ -103,82 +112,122 @@ def lift_facts(
     classes cannot change the answer — and threads the pushdown hint
     into every prefetch scan.
     """
-    mappings = mappings or MappingRegistry()
-    store = FactStore()
+    if mappings is None:
+        mappings = MappingRegistry()
+    classes = [
+        integrated_class
+        for integrated_class in integrated
+        if not integrated_class.virtual
+        and (plan is None or plan.allows(integrated_class.name))
+    ]
 
     prefetched: Optional[Dict[Tuple[str, str], List[Any]]] = None
+    versions: Dict[Tuple[str, str], EntryVersion] = {}
     if runtime is not None:
         pairs = [
-            (schema_name, class_name)
-            for integrated_class in integrated
-            if not integrated_class.virtual
-            and (plan is None or plan.allows(integrated_class.name))
-            for schema_name, class_name in integrated_class.origins
-            if schema_name in databases
+            origin
+            for integrated_class in classes
+            for origin in integrated_class.origins
+            if origin[0] in databases
         ]
         prefetched = runtime.scan_extents(
-            pairs, op="direct_extent", hint=plan.hint if plan is not None else None
+            pairs,
+            op="direct_extent",
+            hint=plan.hint if plan is not None else None,
+            versions=versions,
         )
 
-    for integrated_class in integrated:
-        if integrated_class.virtual:
-            continue
-        if plan is not None and not plan.allows(integrated_class.name):
-            continue
+    context = (integrated, mappings, mappings.version)
+    slices: List[FactStore] = []
+    unsliced = FactStore()  # extents no cache entry holds (cache off, shards)
+    for integrated_class in classes:
         for schema_name, class_name in integrated_class.origins:
             database = databases.get(schema_name)
             if database is None:
                 continue
-            local_class = database.schema.effective_class(class_name)
-            local_ancestry = {class_name} | database.schema.ancestors(class_name)
-            targets = _ancestor_chain(integrated, integrated_class.name)
             extent = (
                 prefetched.get((schema_name, class_name), [])
                 if prefetched is not None
                 else database.direct_extent(class_name)
             )
-            for instance in extent:
-                for target_name in targets:
-                    store.add(inst_predicate(target_name), (instance.oid,))
-                    target = integrated.cls(target_name)
-                    for attribute in target.attributes.values():
-                        for o_schema, o_class, o_attr in attribute.origins:
-                            if o_schema != schema_name or o_class not in local_ancestry:
-                                continue
-                            if not local_class.has_member(o_attr):
-                                continue
-                            value = instance.get(o_attr)
-                            if value is None:
-                                continue
-                            mapping = mappings.resolve(
-                                attribute.name, schema_name, o_attr
-                            )
-                            for descriptor, element in iter_value_elements(
-                                attribute.name, value
-                            ):
-                                translated = mapping.translate(element)
-                                if translated is not None:
-                                    store.add(
-                                        att_predicate(target_name, descriptor),
-                                        (instance.oid, translated),
-                                    )
-                    for aggregation in target.aggregations.values():
-                        for o_schema, o_class, o_attr in aggregation.origins:
-                            if o_schema != schema_name or o_class not in local_ancestry:
-                                continue
-                            value = instance.get(o_attr)
-                            if value is None:
-                                continue
-                            elements = (
-                                value if isinstance(value, frozenset) else (value,)
-                            )
-                            for element in elements:
-                                store.add(
-                                    att_predicate(target_name, aggregation.name),
-                                    (instance.oid, element),
-                                )
+            lift = functools.partial(
+                _lift_slice,
+                integrated,
+                integrated_class,
+                database,
+                schema_name,
+                class_name,
+                extent,
+                mappings,
+            )
+            version = versions.get((schema_name, class_name))
+            if version is None:
+                lift(unsliced)
+            else:
+                assert runtime is not None
+                slices.append(
+                    runtime.lift_slice(version, context, integrated_class.name, lift)
+                )
+
+    store = FactStore(*slices, unsliced) if slices else unsliced
     if same_specs:
         same_object_facts(same_specs, databases, store)
+    return store
+
+
+def _lift_slice(
+    integrated: IntegratedSchema,
+    integrated_class: IntegratedClass,
+    database: ComponentStore,
+    schema_name: str,
+    class_name: str,
+    extent: Sequence[Any],
+    mappings: MappingRegistry,
+    store: Optional[FactStore] = None,
+) -> FactStore:
+    """Lift one ``(integrated class, schema, local class)`` slice of
+    *extent* into *store* (a new one by default), and return it."""
+    if store is None:
+        store = FactStore()
+    local_class = database.schema.effective_class(class_name)
+    local_ancestry = {class_name} | database.schema.ancestors(class_name)
+    targets = _ancestor_chain(integrated, integrated_class.name)
+    for instance in extent:
+        for target_name in targets:
+            store.add(inst_predicate(target_name), (instance.oid,))
+            target = integrated.cls(target_name)
+            for attribute in target.attributes.values():
+                for o_schema, o_class, o_attr in attribute.origins:
+                    if o_schema != schema_name or o_class not in local_ancestry:
+                        continue
+                    if not local_class.has_member(o_attr):
+                        continue
+                    value = instance.get(o_attr)
+                    if value is None:
+                        continue
+                    mapping = mappings.resolve(attribute.name, schema_name, o_attr)
+                    for descriptor, element in iter_value_elements(
+                        attribute.name, value
+                    ):
+                        translated = mapping.translate(element)
+                        if translated is not None:
+                            store.add(
+                                att_predicate(target_name, descriptor),
+                                (instance.oid, translated),
+                            )
+            for aggregation in target.aggregations.values():
+                for o_schema, o_class, o_attr in aggregation.origins:
+                    if o_schema != schema_name or o_class not in local_ancestry:
+                        continue
+                    value = instance.get(o_attr)
+                    if value is None:
+                        continue
+                    elements = value if isinstance(value, frozenset) else (value,)
+                    for element in elements:
+                        store.add(
+                            att_predicate(target_name, aggregation.name),
+                            (instance.oid, element),
+                        )
     return store
 
 
@@ -329,7 +378,7 @@ class AgentSource(SchemaSource):
         super().__init__(schema_name)
         self._agent = agent
         self._integrated = integrated
-        self._mappings = mappings or MappingRegistry()
+        self._mappings = mappings if mappings is not None else MappingRegistry()
         self._runtime = runtime
 
     def _extent(self, schema_name: str, local_class: str):

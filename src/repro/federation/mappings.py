@@ -120,6 +120,9 @@ class MappingRegistry:
     def __init__(self) -> None:
         self._mappings: Dict[Tuple[str, str, str], DataMapping] = {}
         self._default = DefaultMapping()
+        #: bumped by every :meth:`register`; facts lifted through this
+        #: registry are cached per version, so a registration relifts
+        self.version = 0
 
     def register(
         self,
@@ -129,6 +132,7 @@ class MappingRegistry:
         mapping: DataMapping,
     ) -> None:
         self._mappings[(integrated_attribute, source_schema, source_attribute)] = mapping
+        self.version += 1
 
     def resolve(
         self, integrated_attribute: str, source_schema: str, source_attribute: str
@@ -171,7 +175,8 @@ def same_object_facts(
     Facts are emitted symmetrically (both orders) so generated rules may
     test identity in either direction.
     """
-    store = store or FactStore()
+    if store is None:
+        store = FactStore()
     for spec in specs:
         left_db = databases.get(spec.left_schema)
         right_db = databases.get(spec.right_schema)

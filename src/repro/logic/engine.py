@@ -36,6 +36,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..errors import EvaluationError
@@ -46,44 +47,118 @@ from .substitution import EMPTY, Substitution
 from .terms import Constant, Term, Variable
 
 FactTuple = Tuple[Any, ...]
+#: one index bucket: the only fact with that value, or a set of them
+Bucket = Union[FactTuple, Set[FactTuple]]
+
+
+def _insert(index: Dict[Any, Bucket], value: Any, values: FactTuple) -> None:
+    bucket = index.get(value)
+    if bucket is None:
+        index[value] = values
+    elif isinstance(bucket, set):
+        bucket.add(values)
+    else:
+        index[value] = {bucket, values}
 
 
 class FactStore:
-    """Ground facts grouped by predicate name.
+    """Ground facts grouped by predicate name, optionally layered.
 
-    A per-predicate index on the first argument accelerates the joins
-    the compiled O-term predicates produce (``att$C$a(oid, v)`` is
-    always probed by ``oid`` once the object variable is bound).
+    A store owns one writable layer and may sit over read-only *parent*
+    stores: reads see the union of every layer, writes go to the own
+    layer, and a fact a parent already holds is not added again.
+    :func:`evaluate` layers derived facts over its base this way instead
+    of copying it, and the federation composes a query's lifted facts
+    from cached per-granule slices.  Parents must not be written while
+    a store is layered over them.
+
+    Each layer indexes a ``(predicate, position)`` lazily, in one pass,
+    on the first :meth:`facts_at` / :meth:`candidates` probe that needs
+    it (compiled O-term predicates are probed by ``oid`` once the object
+    variable is bound).  A bucket holding one fact is kept as the bare
+    fact tuple and wrapped in a set when returned.  An index is
+    published by a single assignment, so threads probing one shared
+    read-only store may race to build it and still agree.
     """
 
-    #: Index every argument position up to this arity (compiled O-term
-    #: predicates have arity ≤ 2, is_a and same_object too).
-    INDEXED_ARITY = 3
-
-    def __init__(self) -> None:
-        self._facts: Dict[str, Set[FactTuple]] = defaultdict(set)
-        self._by_arg: Dict[str, Dict[Tuple[int, Any], Set[FactTuple]]] = defaultdict(
-            lambda: defaultdict(set)
+    def __init__(self, *parents: "FactStore") -> None:
+        self._facts: Dict[str, Set[FactTuple]] = {}
+        self._index: Dict[Tuple[str, int], Dict[Any, Bucket]] = {}
+        #: every parent layer, flattened (parents of parents included)
+        self._parents: Tuple["FactStore", ...] = tuple(
+            dict.fromkeys(
+                layer for parent in parents for layer in (parent, *parent._parents)
+            )
         )
+        #: predicate -> the parent layers holding it (parents never change)
+        self._holding: Dict[str, Tuple["FactStore", ...]] = {}
+        #: predicate -> (own facts when merged, union over the layers)
+        self._merged: Dict[str, Tuple[int, Set[FactTuple]]] = {}
+
+    def _holders(self, predicate: str) -> Tuple["FactStore", ...]:
+        """The layers holding *predicate*: parents first, then this one."""
+        own = (self,) if predicate in self._facts else ()
+        if not self._parents:
+            return own
+        holding = self._holding.get(predicate)
+        if holding is None:
+            holding = tuple(p for p in self._parents if predicate in p._facts)
+            self._holding[predicate] = holding
+        return holding + own
+
+    def _build_index(self, predicate: str, position: int) -> Dict[Any, Bucket]:
+        """Index this layer's *predicate* facts at *position*, in one pass,
+        and publish the index by a single assignment."""
+        index: Dict[Any, Bucket] = {}
+        for values in self._facts.get(predicate, ()):
+            if position < len(values):
+                _insert(index, values[position], values)
+        self._index[(predicate, position)] = index
+        return index
 
     def add(self, predicate: str, values: FactTuple) -> bool:
-        """Add a fact; True when it was new."""
-        bucket = self._facts[predicate]
-        if values in bucket:
+        """Add a fact to the own layer; True when no layer held it."""
+        for parent in self._parents:
+            if values in parent._facts.get(predicate, ()):
+                return False
+        bucket = self._facts.get(predicate)
+        if bucket is None:
+            bucket = self._facts[predicate] = set()
+        elif values in bucket:
             return False
         bucket.add(values)
-        if len(values) <= self.INDEXED_ARITY:
-            index = self._by_arg[predicate]
+        if self._index:
             for position, value in enumerate(values):
-                index[(position, value)].add(values)
+                index = self._index.get((predicate, position))
+                if index is not None:
+                    _insert(index, value, values)
         return True
 
     def facts_at(self, predicate: str, position: int, value: Any) -> Set[FactTuple]:
         """Facts of *predicate* whose argument *position* equals *value*."""
-        index = self._by_arg.get(predicate)
-        if index is None:
+        found: Optional[Bucket] = None
+        merged: Optional[Set[FactTuple]] = None
+        for layer in self._holders(predicate):
+            index = layer._index.get((predicate, position))
+            if index is None:
+                index = layer._build_index(predicate, position)
+            bucket = index.get(value)
+            if bucket is None:
+                continue
+            if found is None:
+                found = bucket
+                continue
+            if merged is None:  # a second layer matches: union a copy
+                merged = set(found) if isinstance(found, set) else {found}
+            if isinstance(bucket, set):
+                merged |= bucket
+            else:
+                merged.add(bucket)
+        if merged is not None:
+            return merged
+        if found is None:
             return set()
-        return index.get((position, value), set())
+        return found if isinstance(found, set) else {found}
 
     def candidates(self, predicate: str, bound: "List[Tuple[int, Any]]") -> Set[FactTuple]:
         """The smallest indexed candidate set consistent with *bound*.
@@ -93,17 +168,13 @@ class FactStore:
         checked by the caller's match).  Falls back to the full set.
         """
         best: Optional[Set[FactTuple]] = None
-        index = self._by_arg.get(predicate)
-        if index is not None:
-            for position, value in bound:
-                bucket = index.get((position, value))
-                if bucket is None:
-                    return set()
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-        if best is not None:
-            return best
-        return self._facts.get(predicate, set())
+        for position, value in bound:
+            bucket = self.facts_at(predicate, position, value)
+            if not bucket:
+                return bucket
+            if best is None or len(bucket) < len(best):
+                best = bucket
+        return best if best is not None else self.facts(predicate)
 
     def add_atom(self, atom: Atom) -> bool:
         if not atom.is_ground():
@@ -111,32 +182,51 @@ class FactStore:
         return self.add(atom.predicate, tuple(c.value for c in atom.args))  # type: ignore[union-attr]
 
     def facts(self, predicate: str) -> Set[FactTuple]:
-        return self._facts.get(predicate, set())
+        holders = self._holders(predicate)
+        if len(holders) == 1:
+            return holders[0]._facts[predicate]
+        if not holders:
+            return set()
+        # only the own layer grows, so its size dates the cached union
+        own = len(self._facts.get(predicate, ()))
+        merged = self._merged.get(predicate)
+        if merged is None or merged[0] != own:
+            merged = (own, set().union(*(h._facts[predicate] for h in holders)))
+            self._merged[predicate] = merged
+        return merged[1]
 
     def contains(self, predicate: str, values: FactTuple) -> bool:
-        return values in self._facts.get(predicate, ())
+        return any(
+            values in layer._facts.get(predicate, ())
+            for layer in (self, *self._parents)
+        )
 
     def predicates(self) -> Tuple[str, ...]:
-        return tuple(self._facts)
+        return tuple(
+            dict.fromkeys(
+                predicate
+                for layer in (*self._parents, self)
+                for predicate in layer._facts
+            )
+        )
 
     def merge(self, other: "FactStore") -> None:
-        for predicate, tuples in other._facts.items():
-            for values in tuples:
-                self.add(predicate, values)
+        for predicate, values in other:
+            self.add(predicate, values)
 
     def copy(self) -> "FactStore":
+        """A flat, writable store holding every fact of every layer."""
         clone = FactStore()
-        for predicate, tuples in self._facts.items():
-            for values in tuples:
-                clone.add(predicate, values)
+        for predicate in self.predicates():
+            clone._facts[predicate] = set(self.facts(predicate))
         return clone
 
     def __len__(self) -> int:
-        return sum(len(tuples) for tuples in self._facts.values())
+        return sum(len(self.facts(predicate)) for predicate in self.predicates())
 
     def __iter__(self) -> Iterator[Tuple[str, FactTuple]]:
-        for predicate, tuples in self._facts.items():
-            for values in tuples:
+        for predicate in self.predicates():
+            for values in self.facts(predicate):
                 yield predicate, values
 
 
@@ -410,10 +500,15 @@ def evaluate(
 
     Semi-naive iteration within each stratum: after the first round only
     rule instantiations touching the previous round's new facts fire.
-    Returns a new store containing base plus derived facts.
+    Derived facts go into a writable layer over the read-only *base*
+    (see :class:`FactStore`), which is returned; *base* itself is never
+    written, and a program without rules returns it unchanged.
     """
-    store = base.copy()
-    for layer in stratify(list(rules)):
+    program = list(rules)
+    if not program:
+        return base
+    store = FactStore(base)
+    for layer in stratify(program):
         # Round 0: full evaluation of the layer.
         delta = FactStore()
         for rule in layer:

@@ -50,7 +50,7 @@ class SchemaSource:
 
     def __init__(self, name: str, store: Optional[FactStore] = None) -> None:
         self.name = name
-        self._store = store or FactStore()
+        self._store = store if store is not None else FactStore()
         self.fetch_count = 0
 
     def fetch(self, predicate: str) -> Set[FactTuple]:

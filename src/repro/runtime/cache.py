@@ -25,13 +25,33 @@ evictions, generation bumps) writes through, so the disk tier can never
 resurrect an entry the in-memory tier already condemned.  Entries whose
 component version was unobservable at fill time stay memory-only: after
 a restart their freshness could not be checked.
+
+An entry may also carry **lifted fact slices**: the read-only
+:class:`~repro.logic.engine.FactStore` the federation lifted from the
+entry's value (:func:`~repro.federation.evaluation.lift_facts`), so a
+warm query does not lift the same granule again.  A caller reads the
+value together with an :class:`EntryVersion`; a slice is served only
+for that exact entry version, attached only while the entry is still
+the one served at that version, and dropped on every path that
+replaces, patches, evicts or invalidates the entry.  Slices live in
+memory only and never reach the persistent tier.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, ContextManager, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ContextManager,
+    Dict,
+    Hashable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from .deltas import (
     ChainFetcher,
@@ -44,6 +64,7 @@ from .deltas import (
 from .transport import ScanRequest
 
 if TYPE_CHECKING:
+    from ..logic.engine import FactStore
     from .metrics import RuntimeMetrics
     from .persistence import PersistentExtentStore
 
@@ -51,7 +72,7 @@ _MISS = object()
 
 
 class _Entry:
-    __slots__ = ("value", "cache_generation", "source_generation")
+    __slots__ = ("value", "cache_generation", "source_generation", "slices")
 
     def __init__(
         self, value: Any, cache_generation: int, source_generation: Optional[int]
@@ -59,6 +80,18 @@ class _Entry:
         self.value = value
         self.cache_generation = cache_generation
         self.source_generation = source_generation
+        #: (lift context, slice name -> FactStore) lifted from this value
+        self.slices: Optional[Tuple[Hashable, Dict[Hashable, "FactStore"]]] = None
+
+
+class EntryVersion(NamedTuple):
+    """One cache entry as a caller read it: where it lives, and the
+    component version its value had at the read."""
+
+    key: Tuple[Any, ...]
+    variant: Tuple[str, Optional[str]]
+    entry: _Entry
+    source_generation: Optional[int]
 
 
 def _copy(value: Any) -> Any:
@@ -120,9 +153,13 @@ class ExtentCache:
         return self._generation
 
     def bump_generation(self) -> int:
-        """Invalidate everything currently cached (lazily evicted)."""
+        """Invalidate everything currently cached (lazily evicted; the
+        lifted slices go at once)."""
         with self._lock:
             self._generation += 1
+            for granule in self._granules.values():
+                for entry in granule.values():
+                    entry.slices = None
             if self._store is not None:
                 with self._persistence_timer():
                     self._store.set_generation(self._generation)
@@ -137,6 +174,14 @@ class ExtentCache:
         and, when *source_generation* is observable, to match the
         component database's version it was filled at.
         """
+        return self.lookup(request, source_generation)[0]
+
+    def lookup(
+        self, request: ScanRequest, source_generation: Optional[int] = None
+    ) -> Tuple[Any, Optional[EntryVersion]]:
+        """:meth:`get`, plus the version of the entry that answered
+        (None on a miss) — the handle :meth:`slice` and
+        :meth:`attach_slice` take."""
         key = request.cache_key
         variant = (request.op, request.attribute)
         with self._lock:
@@ -144,38 +189,80 @@ class ExtentCache:
             entry = granule.get(variant) if granule else None
             if entry is None:
                 self.misses += 1
-                return _MISS
+                return _MISS, None
             stale = entry.cache_generation != self._generation or (
                 source_generation is not None
                 and entry.source_generation != source_generation
             )
             if stale:
                 assert granule is not None
-                granule.pop(variant, None)
-                if not granule:
-                    # an emptied granule dict must not be stranded forever
-                    self._granules.pop(key, None)
-                if self._store is not None:
-                    with self._persistence_timer():
-                        self._store.delete(key, variant)
+                self._evict_variant(key, granule, variant)
                 self.misses += 1
-                return _MISS
+                return _MISS, None
             self.hits += 1
-            return _copy(entry.value)
+            return _copy(entry.value), EntryVersion(
+                key, variant, entry, entry.source_generation
+            )
 
     def put(
         self, request: ScanRequest, value: Any, source_generation: Optional[int] = None
-    ) -> None:
+    ) -> EntryVersion:
+        """Fill *request*'s entry; returns the new entry's version."""
         key = request.cache_key
         variant = (request.op, request.attribute)
         with self._lock:
             granule = self._granules.setdefault(key, {})
-            granule[variant] = _Entry(_copy(value), self._generation, source_generation)
+            replaced = granule.get(variant)
+            if replaced is not None:
+                replaced.slices = None
+            entry = _Entry(_copy(value), self._generation, source_generation)
+            granule[variant] = entry
             if self._store is not None and source_generation is not None:
                 with self._persistence_timer():
                     self._store.put(
                         key, variant, value, self._generation, source_generation
                     )
+            return EntryVersion(key, variant, entry, source_generation)
+
+    # ------------------------------------------------------------------
+    # lifted fact slices
+    # ------------------------------------------------------------------
+    def slice(
+        self, version: EntryVersion, context: Hashable, name: Hashable
+    ) -> "Optional[FactStore]":
+        """The slice *name* lifted under *context* from exactly the entry
+        version *version* names, or None."""
+        with self._lock:
+            entry = version.entry
+            if entry.source_generation != version.source_generation:
+                return None
+            if entry.slices is None or entry.slices[0] != context:
+                return None
+            return entry.slices[1].get(name)
+
+    def attach_slice(
+        self,
+        version: EntryVersion,
+        context: Hashable,
+        name: Hashable,
+        store: "FactStore",
+    ) -> None:
+        """Keep *store*, lifted from *version*'s value, on that entry —
+        only while the entry is still the one served at that version.
+        Slices of another *context* are dropped."""
+        with self._lock:
+            entry = version.entry
+            granule = self._granules.get(version.key)
+            if (
+                granule is None
+                or granule.get(version.variant) is not entry
+                or entry.cache_generation != self._generation
+                or entry.source_generation != version.source_generation
+            ):
+                return
+            if entry.slices is None or entry.slices[0] != context:
+                entry.slices = (context, {})
+            entry.slices[1][name] = store
 
     # ------------------------------------------------------------------
     # delta feeds (incremental invalidation)
@@ -249,6 +336,7 @@ class ExtentCache:
                         for record in delta.records
                         if record.relation == key[2]
                     ]
+                    entry.slices = None
                     try:
                         patch_variant(entry.value, variant, relevant, shard_coord)
                     except DeltaUnpatchable as reason:
@@ -278,8 +366,11 @@ class ExtentCache:
         variant: Tuple[str, Optional[str]],
     ) -> None:
         """Drop one variant (both tiers); the caller holds the lock."""
-        granule.pop(variant, None)
+        entry = granule.pop(variant, None)
+        if entry is not None:
+            entry.slices = None
         if not granule:
+            # an emptied granule dict must not be stranded forever
             self._granules.pop(key, None)
         if self._store is not None:
             with self._persistence_timer():
@@ -320,7 +411,8 @@ class ExtentCache:
                 )
             ]
             for key in doomed:
-                del self._granules[key]
+                for entry in self._granules.pop(key).values():
+                    entry.slices = None
             if self._store is not None and doomed:
                 with self._persistence_timer():
                     for key in doomed:
@@ -329,6 +421,9 @@ class ExtentCache:
 
     def clear(self) -> None:
         with self._lock:
+            for granule in self._granules.values():
+                for entry in granule.values():
+                    entry.slices = None
             self._granules.clear()
             if self._store is not None:
                 with self._persistence_timer():

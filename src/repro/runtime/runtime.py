@@ -10,6 +10,8 @@ exposes the scan API the evaluation paths need —
   hot path);
 * :meth:`scan_extents` for the fact-lifting fan-out: all component
   extents a global query needs, fetched concurrently;
+* :meth:`lift_slice` to reuse the facts lifted from a cached extent
+  granule for as long as that granule's entry is served;
 * :meth:`invalidate` / :meth:`bump_generation` for cache control;
 * :meth:`stats` for the observable autonomy / performance counters.
 
@@ -63,7 +65,20 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import PartialResultError, RuntimeFederationError
 from ..federation.agent import FSMAgent
@@ -71,7 +86,7 @@ from ..model.instances import ObjectInstance
 from .async_executor import AsyncFederationExecutor, EventLoopThread
 from .async_transport import AsyncAgentTransport, AsyncTransportAdapter
 from .breaker import CircuitBreaker
-from .cache import MISS, ExtentCache
+from .cache import MISS, EntryVersion, ExtentCache
 from .executor import FederationExecutor, ScanExecutor, ScanOutcome
 from .metrics import RuntimeMetrics, RuntimeStats
 from .mp_executor import MultiprocessFederationExecutor, wrap_multiprocess
@@ -79,6 +94,9 @@ from .persistence import PersistentExtentStore
 from .policy import FailurePolicy, RuntimePolicy
 from .sharding import ShardPlan, ShardedOutcome, merge_shard_values
 from .transport import AgentTransport, InProcessTransport, ScanHint, ScanRequest
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..logic.engine import FactStore
 
 #: accepted FederationRuntime execution modes
 MODES = ("threaded", "async", "multiprocess")
@@ -215,7 +233,7 @@ class FederationRuntime:
         if self.shard_plan is not None:
             extents = self._scan_extents_sharded([request], fan_out=False)
             return extents.get((request.schema, request.class_name), empty)
-        cached = self._cache_get(request)
+        cached, _ = self._cache_lookup(request)
         if cached is not MISS:
             return cached
         try:
@@ -240,6 +258,7 @@ class FederationRuntime:
         pairs: Iterable[Tuple[str, str]],
         op: str = "direct_extent",
         hint: Optional[ScanHint] = None,
+        versions: Optional[Dict[Tuple[str, str], EntryVersion]] = None,
     ) -> Dict[Tuple[str, str], List[ObjectInstance]]:
         """Concurrently fetch the extents of many ``(schema, class)`` pairs.
 
@@ -250,6 +269,10 @@ class FederationRuntime:
         A *hint* rides on every request as the planner's advisory
         pushdown.  Failed scans are absent from the mapping under the
         ``PARTIAL`` policy (callers treat them as empty).
+
+        *versions*, when given, receives the cache entry version each
+        returned extent was read from or stored as (unsharded, cached
+        runtimes only) — the handle :meth:`lift_slice` takes.
         """
         requests = [
             self.request(schema_name, class_name, op, hint=hint)
@@ -261,11 +284,13 @@ class FederationRuntime:
         extents: Dict[Tuple[str, str], List[ObjectInstance]] = {}
         to_fetch: List[ScanRequest] = []
         for request in requests:
-            cached = self._cache_get(request)
+            cached, version = self._cache_lookup(request)
             if cached is MISS:
                 to_fetch.append(request)
-            else:
-                extents[(request.schema, request.class_name)] = cached
+                continue
+            extents[(request.schema, request.class_name)] = cached
+            if versions is not None and version is not None:
+                versions[(request.schema, request.class_name)] = version
         if to_fetch:
             with self.metrics.timer("fan_out"):
                 if self.plan_enabled:
@@ -274,9 +299,36 @@ class FederationRuntime:
                     outcome = self.executor.run(to_fetch)
             self._apply_failure_policy(outcome)
             for request, value in outcome.results.items():
-                self._cache_put(request, value)
+                version = self._cache_put(request, value)
                 extents[(request.schema, request.class_name)] = value
+                if versions is not None and version is not None:
+                    versions[(request.schema, request.class_name)] = version
         return extents
+
+    def lift_slice(
+        self,
+        version: EntryVersion,
+        context: Hashable,
+        name: Hashable,
+        build: Callable[[], "FactStore"],
+    ) -> "FactStore":
+        """The facts lifted from one cached extent granule.
+
+        Serves the slice kept on the entry *version* names when one was
+        lifted under *context* (counted in ``lift_slices_reused``);
+        otherwise calls *build* — outside the cache lock, over the value
+        read with *version* — and keeps the result on the entry if it
+        is still served at that version (``lift_slices_built``).  The
+        returned store is shared: callers only read it or layer over it.
+        """
+        store = self.cache.slice(version, context, name)
+        if store is not None:
+            self.metrics.incr("lift_slices_reused")
+            return store
+        store = build()
+        self.cache.attach_slice(version, context, name, store)
+        self.metrics.incr("lift_slices_built")
+        return store
 
     def _scan_extents_sharded(
         self, requests: Sequence[ScanRequest], fan_out: bool = True
@@ -302,7 +354,7 @@ class FederationRuntime:
             shard_requests = plan.split(request)
             warm: List[Any] = []
             for shard_request in shard_requests:
-                cached = self._cache_get(shard_request)
+                cached, _ = self._cache_lookup(shard_request)
                 if cached is not MISS:
                     preloaded[shard_request] = cached
                     warm.append(cached)
@@ -343,15 +395,15 @@ class FederationRuntime:
     # ------------------------------------------------------------------
     # cache plumbing
     # ------------------------------------------------------------------
-    def _cache_get(self, request: ScanRequest) -> Any:
+    def _cache_lookup(self, request: ScanRequest) -> Tuple[Any, Optional[EntryVersion]]:
         if not self.policy.cache_enabled:
-            return MISS
+            return MISS, None
         current = self.transport.generation(request)
         if self.deltas_enabled and current is not None:
             self._sync_deltas(request, current)
-        value = self.cache.get(request, current)
+        value, version = self.cache.lookup(request, current)
         self.metrics.incr("cache_hits" if value is not MISS else "cache_misses")
-        return value
+        return value, version
 
     def _sync_deltas(self, request: ScanRequest, current: int) -> None:
         """Replay the component's delta feed onto stale cached granules
@@ -372,9 +424,10 @@ class FederationRuntime:
         for description, _reason in outcome.fallbacks:
             self.metrics.record("fallback_invalidations", description)
 
-    def _cache_put(self, request: ScanRequest, value: Any) -> None:
-        if self.policy.cache_enabled:
-            self.cache.put(request, value, self.transport.generation(request))
+    def _cache_put(self, request: ScanRequest, value: Any) -> Optional[EntryVersion]:
+        if not self.policy.cache_enabled:
+            return None
+        return self.cache.put(request, value, self.transport.generation(request))
 
     def invalidate(
         self,

@@ -69,8 +69,8 @@ def _healthy():
             "total_instances": 108060,
             "write_ms": 400.0,
             "load_integrate_ms": 2.0,
-            "cold_ms": 950.0,
-            "warm_ms": 850.0,
+            "cold_ms": 624.0,
+            "warm_ms": 122.0,  # warm from cached lift slices
             "cold_agent_scans": 3,
             "warm_agent_scans": 0,
             "answers": 2354,
@@ -330,6 +330,21 @@ class TestCheck:
         assert any(
             "diverged from the in-memory baseline" in p for p in problems
         )
+
+    def test_sources_warm_query_relifting_fails(self):
+        doc = _healthy()
+        doc["sources"]["cold_ms"] = 994.0
+        doc["sources"]["warm_ms"] = 978.0  # the re-lifting warm path
+        problems = check_regression.check(doc)
+        assert any("sources warm_ms 978.0 is not 4x below" in p for p in problems)
+
+    def test_sources_warm_gate_boundary(self):
+        doc = _healthy()
+        doc["sources"]["cold_ms"] = 400.0
+        doc["sources"]["warm_ms"] = 100.0  # exactly 4x: passes
+        assert check_regression.check(doc) == []
+        doc["sources"]["warm_ms"] = 100.5
+        assert any("not 4x below" in p for p in check_regression.check(doc))
 
     def test_missing_deltas_section_fails(self):
         doc = _healthy()
