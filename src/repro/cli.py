@@ -41,7 +41,9 @@ Subcommands:
     ``--stats`` prints the per-query and cumulative
     :class:`~repro.runtime.RuntimeStats`, and ``--json`` switches the
     whole output (rows, warnings, stats) to one machine-readable JSON
-    document sharing its vocabulary with the HTTP service.
+    document sharing its vocabulary with the HTTP service.  The flags
+    become a :class:`~repro.service.TenantConfig`, so the command
+    validates, builds and queries exactly as a service tenant does.
 
 ``serve``
     Host the multi-tenant federation query service
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from .assertions.kinds import TABLE_1, TABLE_2, TABLE_3, render_table
 from .assertions.parser import parse_file as parse_assertion_file
@@ -285,82 +287,43 @@ def _load(left_path: str, right_path: str, assertions_path: str):
     return left, right, assertions
 
 
-def _build_query_fsm(arguments):
-    """An integrated FSM (one agent per component schema) for ``query``."""
+def _query_config(arguments):
+    """The ``query`` flags as the one federation spec, a
+    :class:`~repro.service.TenantConfig`."""
     from .errors import QueryError
-    from .federation.agent import FSMAgent
-    from .federation.fsm import FSM
-    from .model.database import ObjectDatabase
+    from .service import TenantConfig
 
-    if arguments.source_dir:
-        if arguments.demo or arguments.schema or arguments.assertions or arguments.data:
-            raise QueryError(
-                "--source-dir and --demo/--schema/--assertions/--data are exclusive"
-            )
-        from .sources import load_source_federation
-
-        text, databases = load_source_federation(arguments.source_dir)
-    elif arguments.demo:
-        if arguments.schema or arguments.assertions or arguments.data:
-            raise QueryError("--demo and --schema/--assertions/--data are exclusive")
-        if arguments.demo == "genealogy":
-            from .workloads import genealogy
-
-            _, _, text, databases = genealogy()
-        else:
-            from .workloads import federated_cluster
-
-            _, text, databases = federated_cluster(schemas=4, per_class=8)
-    else:
-        if len(arguments.schema) < 2 or not arguments.assertions:
-            raise QueryError(
-                "query needs --demo, or at least two --schema files plus "
-                "--assertions"
-            )
-        import json
-
-        rows_by_schema = {}
-        if arguments.data:
-            with open(arguments.data, "r", encoding="utf-8") as handle:
-                rows_by_schema = json.load(handle)
-        databases = {}
-        for path in arguments.schema:
-            schema = parse_schema_file(path)
-            database = ObjectDatabase(schema, agent=f"host-{schema.name}")
-            for class_name, rows in rows_by_schema.get(schema.name, {}).items():
-                database.insert_many(class_name, rows)
-            databases[schema.name] = database
-        with open(arguments.assertions, "r", encoding="utf-8") as handle:
-            text = handle.read()
-
-    fsm = FSM()
-    for schema_name, database in databases.items():
-        agent = FSMAgent(f"agent-{schema_name}")
-        # host_source takes any component store — in-memory databases and
-        # disk-backed source adapters host identically
-        agent.host_source(database)
-        fsm.register_agent(agent)
-    fsm.declare(text)
-    names = list(fsm.schema_names())
-    if len(names) == 2:
-        fsm.integrate(names[0], names[1])
-    else:
-        fsm.integrate_all(names)
-    return fsm
-
-
-def _attach_query_runtime(fsm, arguments):
-    from .runtime import (
-        AsyncInProcessTransport,
-        AsyncSimulatedNetworkTransport,
-        FaultProfile,
-        FederationRuntime,
-        InProcessTransport,
-        RuntimePolicy,
-        ShardPlan,
-        SimulatedNetworkTransport,
+    if not (arguments.demo or arguments.schema or arguments.source_dir):
+        # an empty TenantConfig means the genealogy demo; the CLI asks
+        raise QueryError(
+            "query needs --demo, --source-dir, or at least two --schema "
+            "files plus --assertions"
+        )
+    return TenantConfig(
+        name="query",
+        demo=arguments.demo,
+        schemas=tuple(arguments.schema),
+        assertions=arguments.assertions,
+        data=arguments.data,
+        source_dir=arguments.source_dir,
+        mode=arguments.mode or ("async" if arguments.use_async else "threaded"),
+        scan_inflight=arguments.max_inflight,
+        max_workers=arguments.workers,
+        shards=arguments.shards,
+        shard_kind=arguments.shard_kind,
+        cache_path=arguments.cache_path,
+        latency_ms=arguments.latency,
+        plan=arguments.plan,
+        deltas=arguments.deltas,
     )
 
+
+def _cmd_query(arguments, out) -> int:
+    from .federation.query import FederatedQuery
+    from .runtime import RuntimePolicy
+    from .service.tenancy import attach_runtime, build_session
+
+    config = _query_config(arguments)
     if arguments.sequential:
         policy = RuntimePolicy.sequential(cache_enabled=not arguments.no_cache)
     else:
@@ -369,37 +332,9 @@ def _attach_query_runtime(fsm, arguments):
             max_inflight=max(1, arguments.max_inflight),
             cache_enabled=not arguments.no_cache,
         )
-    profile = FaultProfile(latency=arguments.latency / 1000.0)
-    mode = arguments.mode or ("async" if arguments.use_async else "threaded")
-    if mode == "async":
-        transport = AsyncInProcessTransport(fsm._agents, fsm._schema_host)
-        if arguments.latency > 0:
-            transport = AsyncSimulatedNetworkTransport(transport, profile)
-    else:
-        # threaded and multiprocess share the synchronous transport; the
-        # runtime splices the process-pool hop in for multiprocess mode
-        transport = InProcessTransport(fsm._agents, fsm._schema_host)
-        if arguments.latency > 0:
-            transport = SimulatedNetworkTransport(transport, profile)
-    shard_plan = (
-        ShardPlan(arguments.shards, arguments.shard_kind)
-        if arguments.shards > 0
-        else None
-    )
-    return fsm.use_runtime(
-        runtime=FederationRuntime(
-            transport=transport, policy=policy, mode=mode, shard_plan=shard_plan,
-            cache_path=arguments.cache_path, plan=arguments.plan,
-            deltas=arguments.deltas,
-        )
-    )
-
-
-def _cmd_query(arguments, out) -> int:
-    from .federation.query import FederatedQuery
-
-    fsm = _build_query_fsm(arguments)
-    runtime = _attach_query_runtime(fsm, arguments)
+    session = build_session(config)
+    runtime = attach_runtime(session, config, policy=policy)
+    fsm = session.fsm
     # From here on the runtime owns threads, loops and possibly a sqlite
     # store — close() on every exit path (it is idempotent), so a failed
     # query does not leak an event-loop thread or an open cache file.
@@ -409,13 +344,7 @@ def _cmd_query(arguments, out) -> int:
         rows = []
         runs = []
         for run in range(repeats):
-            if arguments.appendix_b:
-                before = runtime.stats()
-                with runtime.timer("query"):
-                    rows = query.run(fsm.appendix_b(prefetch=query))
-                fsm.last_query_stats = runtime.stats() - before
-            else:
-                rows = fsm.query(query)
+            rows = fsm.query(query, appendix_b=arguments.appendix_b)
             delta = fsm.last_query_stats
             timer = delta.timers.get("query")
             runs.append(
@@ -473,11 +402,24 @@ def _cmd_query(arguments, out) -> int:
         runtime.close()  # flush/release the persistent cache store, if any
 
 
+#: tenant-spec keys spelled differently from their TenantConfig field
+_SPEC_ALIASES = {"schema": "schemas", "workers": "max_workers", "latency": "latency_ms"}
+
+
 def _parse_tenant_spec(spec: str):
-    """``name=t1,demo=cluster,mode=async,...`` → :class:`TenantConfig`."""
+    """``name=t1,demo=cluster,mode=async,...`` → :class:`TenantConfig`.
+
+    Only the keys given reach the config, converted by the type of the
+    field's default; every default lives on :class:`TenantConfig`.
+    """
+    import dataclasses
+
     from .errors import ServiceError
     from .service import TenantConfig
 
+    fields = {field.name: field for field in dataclasses.fields(TenantConfig)}
+    for key, name in _SPEC_ALIASES.items():
+        fields[key] = fields.pop(name)
     values = {}
     for part in spec.split(","):
         part = part.strip()
@@ -487,40 +429,31 @@ def _parse_tenant_spec(spec: str):
         if not eq:
             raise ServiceError(f"tenant spec part {part!r} is not key=value")
         values[key.strip().lower().replace("-", "_")] = value.strip()
-    known = {
-        "name", "demo", "mode", "schema", "assertions", "data", "shards",
-        "shard_kind", "latency", "max_inflight", "scan_inflight", "workers",
-        "cache_path", "plan", "deltas", "source_dir",
-    }
-    unknown = sorted(set(values) - known)
+    unknown = sorted(set(values) - set(fields))
     if unknown:
         raise ServiceError(f"unknown tenant spec keys: {', '.join(unknown)}")
     if "name" not in values:
         raise ServiceError(f"tenant spec {spec!r} needs name=...")
-    schemas = tuple(
-        path for path in values.get("schema", "").split(";") if path
-    )
-    source_dir = values.get("source_dir")
-    return TenantConfig(
-        name=values["name"],
-        demo=values.get("demo", "genealogy" if not (schemas or source_dir) else None),
-        schemas=schemas,
-        source_dir=source_dir,
-        assertions=values.get("assertions"),
-        data=values.get("data"),
-        mode=values.get("mode", "async"),
-        shards=int(values.get("shards", "0")),
-        shard_kind=values.get("shard_kind", "hash"),
-        latency_ms=float(values.get("latency", "0")),
-        max_inflight=int(values.get("max_inflight", "8")),
-        scan_inflight=int(values.get("scan_inflight", "64")),
-        max_workers=int(values.get("workers", "8")),
-        cache_path=values.get("cache_path"),
-        plan=values.get("plan", "true").strip().lower()
-        not in ("0", "false", "no", "off"),
-        deltas=values.get("deltas", "true").strip().lower()
-        not in ("0", "false", "no", "off"),
-    )
+    config: Dict[str, Any] = {}
+    for key, text in values.items():
+        field = fields[key]
+        kind = type(field.default)
+        converted: Any
+        try:
+            if kind is bool:
+                converted = text.lower() not in ("0", "false", "no", "off")
+            elif kind is tuple:
+                converted = tuple(path for path in text.split(";") if path)
+            elif kind in (int, float):
+                converted = kind(text)
+            else:
+                converted = text
+        except ValueError:
+            raise ServiceError(
+                f"tenant spec key {key!r} expects {kind.__name__}, got {text!r}"
+            ) from None
+        config[field.name] = converted
+    return TenantConfig(**config)
 
 
 def _cmd_serve(arguments, out) -> int:

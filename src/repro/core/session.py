@@ -22,11 +22,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..runtime.async_executor import EventLoopThread
     from ..runtime.metrics import RuntimeStats
     from ..runtime.policy import RuntimePolicy
     from ..runtime.runtime import FederationRuntime
-    from ..runtime.sharding import ShardPlan
 
 from ..federation.agent import FSMAgent
 from ..federation.evaluation import FederationEngine
@@ -122,33 +120,13 @@ class FederationSession:
         self,
         policy: Optional["RuntimePolicy"] = None,
         runtime: Optional["FederationRuntime"] = None,
-        mode: str = "threaded",
-        shard_plan: "ShardPlan | int | None" = None,
-        cache_path: Optional[str] = None,
-        loop: Optional["EventLoopThread"] = None,
-        plan: bool = True,
-        deltas: bool = True,
+        **options: Any,
     ) -> "FederationRuntime":
         """Route agent access through a federation runtime (concurrent
-        fan-out, retries, extent caching, metrics); *mode* picks the
-        thread-pool (``"threaded"``), event-loop (``"async"``) or
-        process-pool (``"multiprocess"``, columnar extents over
-        ``spawn``-ed workers) executor; *shard_plan* (a plan or a bare
-        count) shards every
-        extent scan; *cache_path* persists the extent cache to a sqlite
-        file so a restarted session warms up scan-free; *loop* (async
-        mode) multiplexes this session's scans on a shared event-loop
-        thread owned by the caller — how the federation service runs
-        many tenant sessions over one loop; *plan* (default on) runs the
-        query planner before dispatch — assertion-graph pruning, scan
-        coalescing into per-endpoint batches, and advisory hint
-        pushdown; *deltas* (default on) patches stale cached extents
-        from component delta feeds instead of rescanning them; see
+        fan-out, retries, extent caching, metrics); *options* are the
+        :class:`~repro.runtime.FederationRuntime` options, see
         :meth:`repro.federation.fsm.FSM.use_runtime`."""
-        return self.fsm.use_runtime(
-            policy=policy, runtime=runtime, mode=mode, shard_plan=shard_plan,
-            cache_path=cache_path, loop=loop, plan=plan, deltas=deltas,
-        )
+        return self.fsm.use_runtime(policy, runtime, **options)
 
     @property
     def runtime(self) -> Optional["FederationRuntime"]:

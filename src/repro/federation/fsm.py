@@ -37,11 +37,9 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..runtime.async_executor import EventLoopThread
     from ..runtime.policy import RuntimePolicy
     from ..runtime.runtime import FederationRuntime
     from ..runtime.metrics import RuntimeStats
-    from ..runtime.sharding import ShardPlan
 
 from ..assertions.aggregation_assertions import AggregationCorrespondence
 from ..assertions.assertion_set import AssertionSet
@@ -50,7 +48,7 @@ from ..assertions.class_assertions import ClassAssertion
 from ..assertions.parser import parse as parse_assertions
 from ..assertions.paths import Path
 from ..assertions.value_assertions import ValueCorrespondence
-from ..errors import QueryError, RegistrationError
+from ..errors import QueryError, RegistrationError, RuntimeFederationError
 from ..integration.naive import naive_schema_integration
 from ..integration.naming import NamePolicy
 from ..integration.optimized import schema_integration
@@ -280,53 +278,33 @@ class FSM:
         self,
         policy: Optional["RuntimePolicy"] = None,
         runtime: Optional["FederationRuntime"] = None,
-        mode: str = "threaded",
-        shard_plan: "ShardPlan | int | None" = None,
-        cache_path: Optional[str] = None,
-        loop: Optional["EventLoopThread"] = None,
-        plan: bool = True,
-        deltas: bool = True,
+        **options: Any,
     ) -> "FederationRuntime":
         """Attach a federation runtime to both evaluation paths.
 
-        Either pass a prebuilt *runtime* (e.g. one whose transport
-        simulates network faults), or a *policy* and the FSM builds an
-        in-process runtime over its live agent registry (agents
-        registered later are picked up automatically).  *mode* selects
-        the execution engine for the built runtime: ``"threaded"``
-        (thread-pool fan-out), ``"async"`` (one event loop multiplexes
-        every in-flight scan) or ``"multiprocess"`` (shard scans run in
-        ``spawn``-ed worker processes exchanging columnar extents, so
-        CPU-bound per-item work escapes the GIL).  *shard_plan* — a
-        :class:`~repro.runtime.sharding.ShardPlan` or a bare shard
-        count — makes every extent scan a scatter/merge across N shard
-        endpoints per agent.  *cache_path* spills the extent cache to a
-        sqlite file and restores it on attach, so a restarted federation
-        answers warm queries without re-scanning its components.
-        *loop* (async mode) is a shared
-        :class:`~repro.runtime.async_executor.EventLoopThread`: many
-        FSMs — the federation service's tenants — multiplex their scans
-        on one loop thread, and the loop's owner closes it.  *plan*
-        (default on) runs every query through the federation query
-        planner — assertion-graph pruning, per-endpoint scan
-        coalescing, pushdown hints; ``plan=False`` reproduces the
-        pre-planner one-round-trip-per-granule traffic.  *deltas*
-        (default on) replays component delta feeds onto stale cached
-        extents — single-row writes patch granules in place instead of
-        forcing full rescans; ``deltas=False`` reproduces the
-        rescan-on-any-write baseline.
+        Either pass a prebuilt *runtime* alone (e.g. one whose transport
+        simulates network faults), or a *policy* plus any
+        :class:`~repro.runtime.FederationRuntime` *options* (``mode``,
+        ``shard_plan``, ``cache_path``, ``loop``, ``plan``, ``deltas``,
+        ``transport``) and the FSM builds the runtime — by default over
+        an in-process transport on its live agent registry, so agents
+        registered later are picked up automatically.
         """
-        if runtime is None:
+        if runtime is not None:
+            if policy is not None or options:
+                raise RuntimeFederationError(
+                    "use_runtime(runtime=...) takes no policy or options: "
+                    "a prebuilt runtime is already configured"
+                )
+        else:
             from ..runtime.runtime import FederationRuntime
             from ..runtime.transport import InProcessTransport
 
             # the runtime lifts the in-process transport for async mode
-            runtime = FederationRuntime(
-                transport=InProcessTransport(self._agents, self._schema_host),
-                policy=policy, mode=mode,
-                shard_plan=shard_plan, cache_path=cache_path, loop=loop,
-                plan=plan, deltas=deltas,
+            options.setdefault(
+                "transport", InProcessTransport(self._agents, self._schema_host)
             )
+            runtime = FederationRuntime(policy=policy, **options)
         self.runtime = runtime
         return runtime
 
@@ -384,8 +362,12 @@ class FSM:
             runtime.metrics.incr("pruned_classes", len(plan.pruned))
         return plan
 
-    def query(self, query: Union[str, FederatedQuery]) -> List[Dict[str, Any]]:
-        """Run a federated query (textual form accepted).
+    def query(
+        self, query: Union[str, FederatedQuery], appendix_b: bool = False
+    ) -> List[Dict[str, Any]]:
+        """Run a federated query (textual form accepted), bottom-up or,
+        with *appendix_b*, through the top-down :meth:`appendix_b`
+        evaluator.
 
         With a runtime attached, the per-query counter/timer delta lands
         in :attr:`last_query_stats` — the autonomy property (how many
@@ -398,11 +380,18 @@ class FSM:
         if isinstance(query, str):
             query = FederatedQuery.parse(query)
         if self.runtime is None:
-            return query.run(self.engine())
-        plan = self.plan_query(query)
+            return query.run(self.appendix_b() if appendix_b else self.engine())
+        # the top-down path plans inside appendix_b(prefetch=...), so its
+        # planning counters and time fall inside the per-query delta
+        plan = None if appendix_b else self.plan_query(query)
         before = self.runtime.stats()
         with self.runtime.timer("query"):
-            rows = query.run(self.engine(plan=plan))
+            program: Union[FederationEngine, LabelledProgram] = (
+                self.appendix_b(prefetch=query)
+                if appendix_b
+                else self.engine(plan=plan)
+            )
+            rows = query.run(program)
         self.last_query_stats = self.runtime.stats() - before
         return rows
 

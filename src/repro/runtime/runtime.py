@@ -120,6 +120,26 @@ class FederationRuntime:
         plan: bool = True,
         deltas: bool = True,
     ) -> None:
+        """The runtime options, declared here once for every front end
+        (``FSM.use_runtime``, ``FederationSession.enable_runtime`` and
+        the service's tenants forward them unchanged).
+
+        *mode* picks the engine: ``"threaded"`` (thread-pool fan-out),
+        ``"async"`` (one event loop multiplexes every in-flight scan) or
+        ``"multiprocess"`` (shard scans in ``spawn``-ed workers
+        exchanging columnar extents).  *shard_plan* — a
+        :class:`~repro.runtime.sharding.ShardPlan` or a bare count —
+        scatters every extent scan across N shard endpoints per agent.
+        *cache_path* spills the extent cache to a sqlite file and
+        restores it here, so a restarted federation answers warm.
+        *loop* (async mode) is a shared
+        :class:`~repro.runtime.async_executor.EventLoopThread` many
+        runtimes multiplex their scans on; its owner closes it.  *plan*
+        runs the query planner (pruning, per-endpoint coalescing,
+        pushdown hints); ``plan=False`` reproduces one round-trip per
+        granule.  *deltas* patches stale cached extents from component
+        delta feeds; ``deltas=False`` rescans on any write.
+        """
         if mode not in MODES:
             raise RuntimeFederationError(
                 f"unknown runtime mode {mode!r}; choose from {MODES}"

@@ -12,8 +12,11 @@ cannot invalidate or serve stale granules to another.
 
 :class:`TenantConfig` describes how to build a tenant: either a named
 demo federation (``genealogy`` / ``cluster``) or component schema files
-plus an assertion DSL file and an optional JSON instance file — the
-same source shapes the CLI ``query`` subcommand accepts.
+plus an assertion DSL file and an optional JSON instance file, or a
+``source_dir`` manifest.  It is the one federation spec: the CLI
+``query`` subcommand turns its flags into a :class:`TenantConfig` and
+builds through :func:`build_session` and :func:`attach_runtime` too, so
+both front doors validate, build and query identically.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from ..federation.query import FederatedQuery
 from ..model.database import ObjectDatabase
 from ..model.textio import parse_schema_file
 from ..runtime import (
-    AsyncInProcessTransport,
     AsyncSimulatedNetworkTransport,
+    AsyncTransportAdapter,
     EventLoopThread,
     FaultProfile,
     FederationRuntime,
@@ -57,7 +60,9 @@ class TenantConfig:
     """
 
     name: str
-    demo: Optional[str] = "genealogy"
+    #: a named demo federation; omitted with no other source given, the
+    #: tenant serves ``genealogy``
+    demo: Optional[str] = None
     #: component schema files (alternative to *demo*; needs *assertions*)
     schemas: Tuple[str, ...] = ()
     assertions: Optional[str] = None
@@ -86,21 +91,34 @@ class TenantConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServiceError("a tenant needs a non-empty name")
-        if (self.schemas or self.source_dir) and self.demo in DEMOS:
-            self.demo = None
-        if self.schemas and self.source_dir:
-            raise ServiceError(
-                f"tenant {self.name!r}: schema files and source_dir are exclusive"
+        # exactly one source: a demo, a source_dir, or schema files (whose
+        # assertions and data travel with them)
+        given = [
+            label
+            for label, value in (
+                ("demo", self.demo),
+                ("source_dir", self.source_dir),
+                ("schema files/assertions/data",
+                 self.schemas or self.assertions or self.data),
             )
-        if not self.schemas and not self.source_dir and self.demo not in DEMOS:
+            if value
+        ]
+        if len(given) > 1:
             raise ServiceError(
-                f"tenant {self.name!r} needs demo in {DEMOS}, schema files or "
-                f"a source_dir, got demo={self.demo!r}"
+                f"tenant {self.name!r}: {' and '.join(given)} are exclusive"
             )
-        if self.schemas and not self.assertions:
+        if not given:
+            self.demo = "genealogy"
+        if self.demo is not None and self.demo not in DEMOS:
             raise ServiceError(
-                f"tenant {self.name!r} uses schema files and needs an "
-                "assertion file"
+                f"tenant {self.name!r} needs demo in {DEMOS}, got {self.demo!r}"
+            )
+        if given == ["schema files/assertions/data"] and (
+            len(self.schemas) < 2 or not self.assertions
+        ):
+            raise ServiceError(
+                f"tenant {self.name!r} needs at least two schema files plus "
+                "an assertion file"
             )
         if self.max_inflight < 1:
             raise ServiceError(
@@ -161,44 +179,42 @@ def attach_runtime(
     session: FederationSession,
     config: TenantConfig,
     loop: Optional[EventLoopThread] = None,
+    policy: Optional[RuntimePolicy] = None,
 ) -> FederationRuntime:
     """Attach this tenant's runtime, multiplexed on the shared *loop*.
 
-    Mirrors the CLI's transport construction: in-process agents, with a
-    simulated network wrapped around them when the config injects
-    latency.  Async-mode tenants hand their executor the shared loop;
-    threaded and multiprocess tenants keep private pools (the runtime
-    splices the process-pool hop in for multiprocess mode).
+    In-process agents, with a simulated network wrapped around them when
+    the config injects latency.  Async-mode runtimes hand their executor
+    the shared loop; threaded and multiprocess ones keep private pools.
+    *policy* overrides the one built from the config's pool sizes (the
+    CLI passes its ``--sequential`` / ``--no-cache`` policy here).
     """
     fsm = session.fsm
-    policy = RuntimePolicy(
-        max_workers=max(1, config.max_workers),
-        max_inflight=max(1, config.scan_inflight),
-    )
-    profile = FaultProfile(latency=config.latency_ms / 1000.0)
-    transport: Any
-    if config.mode == "async":
-        transport = AsyncInProcessTransport(fsm._agents, fsm._schema_host)
-        if config.latency_ms > 0:
-            transport = AsyncSimulatedNetworkTransport(transport, profile)
-    else:
-        transport = InProcessTransport(fsm._agents, fsm._schema_host)
-        if config.latency_ms > 0:
-            transport = SimulatedNetworkTransport(transport, profile)
-    shard_plan = (
-        ShardPlan(config.shards, config.shard_kind) if config.shards > 0 else None
-    )
-    runtime = FederationRuntime(
+    if policy is None:
+        policy = RuntimePolicy(
+            max_workers=max(1, config.max_workers),
+            max_inflight=max(1, config.scan_inflight),
+        )
+    transport: Any = InProcessTransport(fsm._agents, fsm._schema_host)
+    if config.latency_ms > 0:
+        profile = FaultProfile(latency=config.latency_ms / 1000.0)
+        transport = (
+            AsyncSimulatedNetworkTransport(AsyncTransportAdapter(transport), profile)
+            if config.mode == "async"
+            else SimulatedNetworkTransport(transport, profile)
+        )
+    return session.enable_runtime(
+        policy,
         transport=transport,
-        policy=policy,
         mode=config.mode,
-        shard_plan=shard_plan,
+        shard_plan=(
+            ShardPlan(config.shards, config.shard_kind) if config.shards > 0 else None
+        ),
         cache_path=config.cache_path,
-        loop=loop if config.mode == "async" else None,
+        loop=loop,
         plan=config.plan,
         deltas=config.deltas,
     )
-    return fsm.use_runtime(runtime=runtime, plan=config.plan)
 
 
 class Tenant:
@@ -249,17 +265,8 @@ class Tenant:
                 self.peak_inflight = max(self.peak_inflight, self.inflight)
             try:
                 fsm = self.session.fsm
-                if appendix_b:
-                    before = self.runtime.stats()
-                    with self.runtime.timer("query"):
-                        rows = query.run(fsm.appendix_b(prefetch=query))
-                    fsm.last_query_stats = self.runtime.stats() - before
-                    delta: Optional[RuntimeStats] = fsm.last_query_stats
-                else:
-                    rows = fsm.query(query)
-                    delta = fsm.last_query_stats
-                warnings = self.runtime.drain_warnings()
-                return rows, delta, warnings
+                rows = fsm.query(query, appendix_b=appendix_b)
+                return rows, fsm.last_query_stats, self.runtime.drain_warnings()
             finally:
                 with self._meter:
                     self.inflight -= 1

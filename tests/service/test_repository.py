@@ -47,6 +47,12 @@ class TestRegistry:
             TenantConfig(name="x", schemas=("a.schema",))  # no assertions
         with pytest.raises(ServiceError):
             TenantConfig(name="x", max_inflight=0)
+        # an explicit demo next to another source is refused, not dropped
+        with pytest.raises(ServiceError, match="exclusive"):
+            TenantConfig(name="x", demo="cluster", source_dir="federation")
+        # one schema file fails here, not deep inside declare()
+        with pytest.raises(ServiceError, match="at least two schema files"):
+            TenantConfig(name="x", schemas=("a.schema",), assertions="a.dsl")
 
 
 class TestOperations:
