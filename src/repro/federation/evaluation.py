@@ -327,10 +327,6 @@ class FederationEngine:
         answers = self.ask(Atom.of(att_predicate(class_name, attribute), "?o", "?v"))
         return {answer["v"] for answer in answers}
 
-    @property
-    def query_engine(self) -> QueryEngine:
-        return self._engine
-
 
 def evaluate_value_set(
     integrated: IntegratedSchema,
@@ -461,7 +457,7 @@ class AgentSource(SchemaSource):
             for o_schema, o_class, o_attr in member.origins:
                 if o_schema != schema_name:
                     continue
-                mapping = self._mappings.resolve(descriptor, schema_name, o_attr)
+                mapping = self._mappings.resolve(top_level, schema_name, o_attr)
                 for instance in self._extent(schema_name, local_class):
                     value = instance.get(o_attr)
                     if value is None:

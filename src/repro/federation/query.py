@@ -8,10 +8,12 @@ of Appendix B in object-schema clothing::
                            select=["Ussn#"])
     rows = query.run(engine)
 
-Queries compile to conjunctions of ``inst$C`` / ``att$C$a`` atoms and
-run on either evaluation path (bottom-up :class:`FederationEngine` or an
-Appendix B :class:`~repro.logic.labelled.LabelledProgram`).  A small
-textual form is provided for the examples::
+Queries compile to conjunctions of ``inst$C`` / ``att$C$a`` atoms that
+either evaluation path answers through the same ``ask(*goals)`` call:
+the bottom-up :class:`FederationEngine` or an Appendix B
+:class:`~repro.logic.labelled.LabelledProgram`, which evaluates the whole
+conjunction over one set of tables.  A small textual form is provided
+for the examples::
 
     FederatedQuery.parse("uncle(niece_nephew='John') -> Ussn#")
 """
@@ -137,11 +139,7 @@ class FederatedQuery:
         self, engine: Union[FederationEngine, LabelledProgram]
     ) -> List[Dict[str, Any]]:
         """Execute; rows map selected attribute names (plus ``oid``)."""
-        goals = self.atoms()
-        if isinstance(engine, FederationEngine):
-            raw = engine.ask(*goals)
-        else:
-            raw = _run_labelled(engine, goals)
+        raw = engine.ask(*self.atoms())
         rows: List[Dict[str, Any]] = []
         for answer in raw:
             row: Dict[str, Any] = {"oid": answer.get("o")}
@@ -155,40 +153,6 @@ class FederatedQuery:
         outputs = ", ".join(self.select)
         text = f"{self.class_name}({conditions})"
         return f"{text} -> {outputs}" if outputs else text
-
-
-def _run_labelled(program: LabelledProgram, goals: List[Atom]) -> List[Dict[str, Any]]:
-    """Join goal answers from a labelled program (small conjunctions)."""
-    if not goals:
-        return []
-    results: List[Dict[str, Any]] = [dict()]
-    for goal in goals:
-        answers = program.evaluation(goal)
-        joined: List[Dict[str, Any]] = []
-        for partial in results:
-            for answer in answers:
-                merged = dict(partial)
-                ok = True
-                for key, value in answer.items():
-                    if key in merged and merged[key] != value:
-                        ok = False
-                        break
-                    merged[key] = value
-                if ok:
-                    joined.append(merged)
-        results = joined
-    deduped: List[Dict[str, Any]] = []
-    seen = set()
-    for row in results:
-        key = tuple(sorted(row.items(), key=lambda kv: kv[0]))
-        try:
-            hashable = hash(key)
-        except TypeError:
-            hashable = repr(key)
-        if hashable not in seen:
-            seen.add(hashable)
-            deduped.append(row)
-    return deduped
 
 
 def _parse_value(token: str) -> Any:

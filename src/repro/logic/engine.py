@@ -18,9 +18,12 @@ semi-naive, stratified bottom-up engine over ground facts.
 * :func:`evaluate` materializes all derivable facts; :class:`QueryEngine`
   wraps it with conjunctive queries like ``?- uncle('John', y)``.
 
-The faithful *top-down* algorithm of Appendix B — with schema-labelled
-predicates — lives in :mod:`repro.logic.labelled`; both produce the same
-answers on the paper's examples (tested).
+:func:`_solve_body` is the package's only conjunctive join.  Rule bodies
+in :func:`evaluate`, query goals in :meth:`QueryEngine.ask`, and the rule
+bodies and goals of the faithful *top-down* algorithm of Appendix B
+(:mod:`repro.logic.labelled`, which hands it per-call tables) all run
+through it.  A Hypothesis suite checks that the two evaluators answer
+random stratified programs alike (``tests/logic/test_evaluator_parity.py``).
 """
 
 from __future__ import annotations

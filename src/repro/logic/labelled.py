@@ -12,11 +12,18 @@ recursively unions local answers and rule-derived answers::
             temp'  := temp_1 ⋈ ... ⋈ temp_n
             result := temp ∪ temp'
 
-This module implements that algorithm faithfully as
-:class:`LabelledProgram.evaluation` — a top-down evaluator whose only
+This module implements that algorithm as :meth:`LabelledProgram.ask`
+(``evaluation`` is its one-goal form) — a top-down evaluator whose only
 interaction with component databases is *fetching the extension of one
 concept*, which is precisely the autonomy argument of the paper: no
 reasoning is pushed down to local systems.
+
+Each call gets its own ``temp`` tables: a predicate's table is evaluated
+on its first probe and then served from a :class:`FactStore`, so a
+concept is fetched at most once per schema per query however many
+goals and rule bodies read it.  The joins ``temp_1 ⋈ ... ⋈ temp_n`` and
+the query's goal conjunction run on the bottom-up engine's body solver;
+this module has no join of its own.
 
 Local schemas plug in through the tiny :class:`SchemaSource` protocol
 (``fetch(predicate) -> set of value tuples``), so both in-memory stores
@@ -33,11 +40,9 @@ from collections import defaultdict
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import EvaluationError
-from .atoms import Atom, Comparison, ComparisonOp, Literal, Skolem
-from .engine import FactStore, FactTuple
+from .atoms import Atom
+from .engine import FactStore, FactTuple, QueryEngine, _derive
 from .rules import DatalogRule
-from .substitution import EMPTY, Substitution
-from .terms import Constant, Variable
 
 
 class SchemaSource:
@@ -87,7 +92,6 @@ class LabelledProgram:
         for source in self._sources:
             for predicate in source.concepts():
                 self._concept_map[predicate].append(source)
-        self._fresh = 0
 
     # ------------------------------------------------------------------
     def head_label(self, predicate: str) -> FrozenSet[str]:
@@ -102,212 +106,85 @@ class LabelledProgram:
         return predicate in self._concept_map or predicate in self._rules_by_head
 
     # ------------------------------------------------------------------
+    def ask(self, *goals: Atom) -> List[Dict[str, Any]]:
+        """Answers to the conjunction of *goals* as bindings of their
+        variables, sorted by the ``repr`` of the bound values so the order
+        does not depend on hashing.
+
+        Every goal and rule body reads one per-call set of ``temp``
+        tables (:class:`_Tables`), so each concept is fetched from each
+        of its schemas at most once per call.  Constants in the goals act
+        as selections ("the constants appearing in the query ... can be
+        used to optimize"); they filter after a predicate is fully
+        evaluated, keeping the algorithm as the paper states it.
+        """
+        for goal in goals:
+            if not self.known_predicate(goal.predicate):
+                raise EvaluationError(
+                    f"unknown predicate {goal.predicate!r}: not a concept of any "
+                    f"registered schema and no rule derives it"
+                )
+        tables = _Tables(self)
+        # fill every goal's table up front: the join may stop at an empty
+        # table before probing the rest, and a recursive rule behind one
+        # of them must still be refused
+        for goal in goals:
+            tables.evaluate(goal.predicate)
+        answers = QueryEngine((), tables).ask(*goals)
+        return sorted(answers, key=lambda answer: repr(tuple(answer.values())))
+
     def evaluation(self, goal: Atom) -> List[Dict[str, Any]]:
         """Appendix B's ``evaluation(q, Q)`` for the (possibly non-ground)
-        *goal*; answers are bindings of the goal's variables.
+        *goal*: :meth:`ask` with a single goal."""
+        return self.ask(goal)
 
-        Constants in the goal act as selections ("the constants appearing
-        in the query ... can be used to optimize"); here they filter after
-        recursive evaluation, keeping the algorithm as the paper states it.
-        """
-        if not self.known_predicate(goal.predicate):
-            raise EvaluationError(
-                f"unknown predicate {goal.predicate!r}: not a concept of any "
-                f"registered schema and no rule derives it"
-            )
-        # Per-query memo of evaluated predicates — the algorithm's
-        # ``temp`` tables; recursion through joins would otherwise
-        # recompute each predicate once per outer tuple.  A lazy
-        # per-argument index over each memoized table keeps joins from
-        # degenerating into nested scans.
-        self._memo: Dict[Tuple[str, int], Set[FactTuple]] = {}
-        self._memo_index: Dict[Tuple[str, int], Dict[Tuple[int, Any], Set[FactTuple]]] = {}
-        tuples = self._eval_predicate(goal.predicate, goal.arity, stack=())
-        answers: List[Dict[str, Any]] = []
-        seen: Set[Tuple[Tuple[str, Any], ...]] = set()
-        for values in sorted(tuples, key=repr):
-            substitution = _match_values(goal, values)
-            if substitution is None:
-                continue
-            binding = {
-                variable.name: substitution.apply(variable).value  # type: ignore[union-attr]
-                for variable in goal.variables()
-            }
-            key = tuple(sorted(binding.items(), key=lambda kv: kv[0]))
-            if key not in seen:
-                seen.add(key)
-                answers.append(binding)
-        return answers
 
-    # ------------------------------------------------------------------
-    def _eval_predicate(
-        self, predicate: str, arity: int, stack: Tuple[str, ...]
-    ) -> Set[FactTuple]:
-        memo = getattr(self, "_memo", None)
-        if memo is not None and (predicate, arity) in memo:
-            return memo[(predicate, arity)]
-        if predicate in stack:
+class _Tables(FactStore):
+    """The ``temp`` tables of one :meth:`LabelledProgram.ask` call.
+
+    A predicate's table is evaluated on its first probe — the union of
+    its schemas' extensions and of its rules' joins — and then served
+    from this store, so the engine's body solver joins rule bodies and
+    query goals alike.
+    """
+
+    def __init__(self, program: LabelledProgram) -> None:
+        super().__init__()
+        self._program = program
+        self._evaluated: Set[str] = set()
+        self._stack: List[str] = []
+
+    def evaluate(self, predicate: str) -> None:
+        if predicate in self._evaluated:
+            return
+        if predicate in self._stack:
             raise EvaluationError(
                 f"recursive virtual rule through {predicate!r}: the Appendix B "
                 f"evaluator is non-recursive; use the bottom-up engine "
                 f"(repro.logic.engine.evaluate) instead"
             )
-        stack = stack + (predicate,)
-
+        self._stack.append(predicate)
         # temp := ∪_{s ∈ S} results of evaluating q against s
-        result: Set[FactTuple] = set()
-        for source in self._concept_map.get(predicate, ()):
+        for source in self._program._concept_map.get(predicate, ()):
             for values in source.fetch(predicate):
-                if len(values) == arity:
-                    result.add(values)
+                self.add(predicate, values)
+        for rule in self._program.body_label(predicate):
+            # temp_i := evaluation(p_i, R_i), then temp' := temp_1 ⋈ ... ⋈ temp_n
+            for literal in rule.body:
+                if isinstance(literal.atom, Atom):
+                    self.evaluate(literal.atom.predicate)
+            for head in _derive(rule, self, None, None):
+                self.add_atom(head)
+        self._stack.pop()
+        self._evaluated.add(predicate)
 
-        # temp' per rule: join of recursively evaluated body predicates
-        for rule in self._rules_by_head.get(predicate, ()):
-            if len(rule.head.args) != arity:
-                continue
-            self._fresh += 1
-            renamed = rule.rename_apart(f"r{self._fresh}")
-            for substitution in self._solve(list(renamed.body), EMPTY, stack):
-                head = renamed.head.substitute(substitution)
-                if not head.is_ground():
-                    raise EvaluationError(
-                        f"rule {rule} derived non-ground head {head}"
-                    )
-                result.add(tuple(c.value for c in head.args))  # type: ignore[union-attr]
-        if memo is not None:
-            memo[(predicate, arity)] = result
-        return result
+    def candidates(self, predicate: str, bound: List[Tuple[int, Any]]) -> Set[FactTuple]:
+        self.evaluate(predicate)
+        return super().candidates(predicate, bound)
 
-    def _candidates(
-        self,
-        atom: Atom,
-        substitution: Substitution,
-        stack: Tuple[str, ...],
-    ) -> Set[FactTuple]:
-        """Indexed candidate tuples for *atom* under current bindings."""
-        tuples = self._eval_predicate(atom.predicate, atom.arity, stack)
-        bound = [
-            (position, resolved.value)
-            for position, arg in enumerate(atom.args)
-            if isinstance((resolved := substitution.apply(arg)), Constant)
-        ]
-        if not bound:
-            return tuples
-        key = (atom.predicate, atom.arity)
-        index = getattr(self, "_memo_index", {}).get(key)
-        if index is None:
-            index = {}
-            for values in tuples:
-                for position, value in enumerate(values):
-                    index.setdefault((position, value), set()).add(values)
-            if hasattr(self, "_memo_index"):
-                self._memo_index[key] = index
-        best: Optional[Set[FactTuple]] = None
-        for position, value in bound:
-            bucket = index.get((position, value), set())
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        return best if best is not None else tuples
-
-    def _solve(
-        self,
-        pending: List[Literal],
-        substitution: Substitution,
-        stack: Tuple[str, ...],
-    ) -> Iterable[Substitution]:
-        if not pending:
-            yield substitution
-            return
-        # Evaluate cheap (non-join) literals first; remember the most
-        # selective positive atom for the join step.
-        best_position = -1
-        best_candidates: Optional[Set[FactTuple]] = None
-        for position, literal in enumerate(pending):
-            atom = literal.atom
-            rest = pending[:position] + pending[position + 1:]
-            if literal.positive and isinstance(atom, Atom):
-                candidates = self._candidates(atom, substitution, stack)
-                if best_candidates is None or len(candidates) < len(best_candidates):
-                    best_position = position
-                    best_candidates = candidates
-                continue
-            if isinstance(atom, Comparison):
-                resolved = atom.substitute(substitution)
-                if (
-                    literal.positive
-                    and resolved.op is ComparisonOp.EQ
-                    and isinstance(resolved.left, Variable) != isinstance(resolved.right, Variable)
-                ):
-                    variable = (
-                        resolved.left if isinstance(resolved.left, Variable) else resolved.right
-                    )
-                    constant = (
-                        resolved.right if isinstance(resolved.left, Variable) else resolved.left
-                    )
-                    extended = substitution.bind(variable, constant)
-                    if extended is not None:
-                        yield from self._solve(rest, extended, stack)
-                    return
-                if resolved.is_ground():
-                    if resolved.holds() == literal.positive:
-                        yield from self._solve(rest, substitution, stack)
-                    return
-                continue
-            if isinstance(atom, Skolem):
-                resolved_skolem = atom.substitute(substitution)
-                if all(isinstance(a, Constant) for a in resolved_skolem.args):
-                    token = Constant(resolved_skolem.token())
-                    target = substitution.apply(resolved_skolem.result)
-                    if isinstance(target, Constant):
-                        if target == token:
-                            yield from self._solve(rest, substitution, stack)
-                        return
-                    extended = substitution.bind(target, token)
-                    if extended is not None:
-                        yield from self._solve(rest, extended, stack)
-                    return
-                continue
-            if not literal.positive and isinstance(atom, Atom):
-                resolved_atom = atom.substitute(substitution)
-                if resolved_atom.is_ground():
-                    tuples = self._eval_predicate(atom.predicate, atom.arity, stack)
-                    values = tuple(c.value for c in resolved_atom.args)  # type: ignore[union-attr]
-                    if values not in tuples:
-                        yield from self._solve(rest, substitution, stack)
-                    return
-                continue
-        if best_candidates is None:
-            raise EvaluationError(
-                "body cannot be scheduled (unsafe rule?): "
-                + ", ".join(str(literal) for literal in pending)
-            )
-        chosen = pending[best_position]
-        atom = chosen.atom
-        assert isinstance(atom, Atom)
-        rest = pending[:best_position] + pending[best_position + 1:]
-        for values in best_candidates:
-            extended = _match_values(atom, values, substitution)
-            if extended is not None:
-                yield from self._solve(rest, extended, stack)
-
-
-def _match_values(
-    pattern: Atom, values: FactTuple, substitution: Substitution = EMPTY
-) -> Optional[Substitution]:
-    if len(values) != pattern.arity:
-        return None
-    current = substitution
-    for arg, value in zip(pattern.args, values):
-        resolved = current.apply(arg)
-        if isinstance(resolved, Constant):
-            if resolved.value != value:
-                return None
-        else:
-            extended = current.bind(resolved, Constant(value))
-            if extended is None:
-                return None
-            current = extended
-    return current
+    def contains(self, predicate: str, values: FactTuple) -> bool:
+        self.evaluate(predicate)
+        return super().contains(predicate, values)
 
 
 def source_from_facts(

@@ -212,13 +212,6 @@ class DatalogRule:
             self.name,
         )
 
-    def rename_apart(self, suffix: str) -> "DatalogRule":
-        """Rename every variable with *suffix* to avoid capture."""
-        mapping = Substitution(
-            {v: Variable(f"{v.name}#{suffix}") for v in self.variables()}
-        )
-        return self.substitute(mapping)
-
     def positive_body(self) -> Tuple[Literal, ...]:
         return tuple(
             lit for lit in self.body if lit.positive and isinstance(lit.atom, Atom)

@@ -14,7 +14,7 @@ from .datatypes import DataType, conforms, default_value
 from .instances import ObjectInstance
 from .oids import OID, OIDGenerator
 from .schema import Schema, VIRTUAL_ROOT, build_hierarchy
-from .store import ComponentStore
+from .store import ComponentStore, value_set_of
 from .textio import (
     parse_schema,
     parse_schema_file,
@@ -48,4 +48,5 @@ __all__ = [
     "schema_to_text",
     "relaxed",
     "string_attribute",
+    "value_set_of",
 ]

@@ -19,6 +19,7 @@ from ..errors import InstanceError, UnknownClassError
 from .instances import ObjectInstance
 from .oids import OID, OIDGenerator
 from .schema import Schema
+from .store import value_set_of
 
 
 class ObjectDatabase:
@@ -140,16 +141,7 @@ class ObjectDatabase:
 
         Multivalued attribute values are flattened into the set.
         """
-        values: Set[Any] = set()
-        for obj in self.extent(class_name):
-            value = obj.get(attribute)
-            if value is None:
-                continue
-            if isinstance(value, frozenset):
-                values.update(v for v in value if v is not None)
-            else:
-                values.add(value)
-        return values
+        return value_set_of(self.extent(class_name), attribute)
 
     def follow(
         self, instance: ObjectInstance, aggregation: str

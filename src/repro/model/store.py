@@ -11,7 +11,7 @@ key freshness to.  :class:`ComponentStore` is that structural contract.
 
 from __future__ import annotations
 
-from typing import Any, List, Protocol, Set
+from typing import Any, Iterable, List, Protocol, Set
 
 from .instances import ObjectInstance
 from .schema import Schema
@@ -36,3 +36,18 @@ class ComponentStore(Protocol):
     def extent(self, class_name: str) -> List[ObjectInstance]: ...
 
     def value_set(self, class_name: str, attribute: str) -> Set[Any]: ...
+
+
+def value_set_of(instances: Iterable[ObjectInstance], attribute: str) -> Set[Any]:
+    """``value_set(att)`` over *instances*: the non-null values of
+    *attribute* (§5), multivalued values flattened into the set."""
+    values: Set[Any] = set()
+    for instance in instances:
+        value = instance.get(attribute)
+        if value is None:
+            continue
+        if isinstance(value, frozenset):
+            values.update(v for v in value if v is not None)
+        else:
+            values.add(value)
+    return values

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import RegistrationError, TransportError
 from ..federation.agent import FSMAgent
+from ..model.store import value_set_of
 
 if TYPE_CHECKING:  # sharding imports ScanRequest; only the type flows back
     from .sharding import ShardSpec
@@ -63,21 +64,6 @@ def _prune_scripts(attempts: Dict[Any, int], cap: int) -> None:
         return
     for key in list(itertools.islice(iter(attempts), len(attempts) - cap)):
         del attempts[key]
-
-
-def _value_set_of(instances: Any, attribute: str) -> set:
-    """``value_set(att)`` over an instance slice — mirrors
-    :meth:`repro.model.database.ObjectDatabase.value_set` flattening."""
-    values: set = set()
-    for obj in instances:
-        value = obj.get(attribute)
-        if value is None:
-            continue
-        if isinstance(value, frozenset):
-            values.update(v for v in value if v is not None)
-        else:
-            values.add(value)
-    return values
 
 
 @dataclasses.dataclass(frozen=True)
@@ -381,7 +367,7 @@ class InProcessTransport(AgentTransport):
             owned = request.shard.filter_instances(
                 agent.fetch_extent(request.schema, request.class_name)
             )
-            return _value_set_of(owned, request.attribute)
+            return value_set_of(owned, request.attribute)
         if request.shard is not None:
             extent = request.shard.filter_instances(extent)
         return extent

@@ -63,6 +63,7 @@ from ..model.datatypes import DataType, conforms
 from ..model.instances import ObjectInstance
 from ..model.oids import OID
 from ..model.schema import Schema
+from ..model.store import value_set_of
 from ..runtime.deltas import DeltaLog, DeltaRecord, SourceDelta
 
 
@@ -798,16 +799,7 @@ class SourceDatabase:
         return self.direct_extent(class_name)
 
     def value_set(self, class_name: str, attribute: str) -> Set[Any]:
-        values: Set[Any] = set()
-        for instance in self.extent(class_name):
-            value = instance.get(attribute)
-            if value is None:
-                continue
-            if isinstance(value, frozenset):
-                values.update(v for v in value if v is not None)
-            else:
-                values.add(value)
-        return values
+        return value_set_of(self.extent(class_name), attribute)
 
     def select(
         self, class_name: str, predicate: Callable[[ObjectInstance], bool]

@@ -8,7 +8,7 @@ from repro.federation.evaluation import AgentSource
 from repro.federation.mappings import FunctionMapping, MappingRegistry
 from repro.logic import att_predicate, inst_predicate
 from repro.model import ClassDef, ObjectDatabase, Schema
-from repro.workloads import appendix_a
+from repro.workloads import appendix_a, bibliography
 
 
 @pytest.fixture
@@ -122,6 +122,28 @@ class TestAgentSource:
         assert att_predicate("lecturer", "salary") in concepts
         # professor is purely S2-owned:
         assert inst_predicate("professor") not in concepts
+
+    def test_nested_descriptors_use_the_top_level_mapping(self):
+        """A dotted descriptor is translated by its top-level member's
+        mapping, as fact lifting translates it."""
+        s1, s2, text = bibliography()
+        integrated = SchemaIntegrator(s1, s2, text).run()
+        db1 = ObjectDatabase(s1, agent="a1")
+        db1.insert(
+            "Book",
+            {"ISBN": "1", "title": "T", "author": {"name": "John", "birthday": "1970"}},
+        )
+        registry = MappingRegistry()
+        registry.register("author", "S1", "author", FunctionMapping(str.upper))
+        predicate = att_predicate("Book", "author.name")
+        lifted = lift_facts(
+            integrated, {"S1": db1, "S2": ObjectDatabase(s2)}, registry
+        ).facts(predicate)
+        agent = FSMAgent("a1")
+        agent.host_object_database(db1)
+        fetched = AgentSource("S1", agent, integrated, registry).fetch(predicate)
+        assert {value for _, value in lifted} == {"JOHN"}
+        assert fetched == lifted
 
 
 class TestAgentAccounting:

@@ -1,9 +1,12 @@
 """The FSM layer: registration, integration, federated queries (E-Q)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import QueryError, RegistrationError
-from repro.federation import FSM, FSMAgent, FederatedQuery, SameObjectSpec
+from repro.federation import FSM, FSMAgent, FederatedQuery, SameObjectSpec, evaluation
+from repro.federation.evaluation import AgentSource
 from repro.model import ClassDef, ObjectDatabase, Schema
 from repro.workloads import genealogy
 
@@ -83,6 +86,25 @@ class TestAppendixBQuery:
         agent = genealogy_fsm.agent("agent1")
         assert agent.access_count > 0
         assert agent.accessed_classes <= {("S1", "parent"), ("S1", "brother")}
+
+    def test_appendix_b_fetches_each_concept_once_per_query(
+        self, genealogy_fsm, monkeypatch
+    ):
+        """Goals and rule bodies share one set of tables per query, so no
+        (source, predicate) extension is fetched twice."""
+        fetched = Counter()
+
+        class CountingSource(AgentSource):
+            def fetch(self, predicate):
+                fetched[(self.name, predicate)] += 1
+                return super().fetch(predicate)
+
+        monkeypatch.setattr(evaluation, "AgentSource", CountingSource)
+        query = FederatedQuery.parse("uncle(niece_nephew='John') -> Ussn#")
+        rows = query.run(genealogy_fsm.appendix_b())
+        assert [row["Ussn#"] for row in rows] == ["B1"]
+        assert fetched
+        assert max(fetched.values()) == 1, fetched
 
 
 class TestQueryParsing:
