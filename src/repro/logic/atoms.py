@@ -79,6 +79,16 @@ class ComparisonOp(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
+    def test(self, left: Any, right: Any) -> bool:
+        """``left self right`` over plain values; incomparable values
+        (e.g. ``str < int``) simply fail the test rather than crashing
+        rule evaluation."""
+        evaluate: Callable[[Any, Any], bool] = _EVALUATORS[self]
+        try:
+            return bool(evaluate(left, right))
+        except TypeError:
+            return False
+
 
 _EVALUATORS: dict = {
     ComparisonOp.EQ: operator.eq,
@@ -134,13 +144,7 @@ class Comparison:
         """Evaluate; raises :class:`LogicError` when not ground."""
         if not self.is_ground():
             raise LogicError(f"cannot evaluate non-ground comparison {self}")
-        evaluate: Callable[[Any, Any], bool] = _EVALUATORS[self.op]
-        try:
-            return bool(evaluate(self.left.value, self.right.value))  # type: ignore[union-attr]
-        except TypeError:
-            # Incomparable values (e.g. str < int) simply fail the test
-            # rather than crashing rule evaluation.
-            return False
+        return self.op.test(self.left.value, self.right.value)  # type: ignore[union-attr]
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"

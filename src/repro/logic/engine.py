@@ -18,19 +18,44 @@ semi-naive, stratified bottom-up engine over ground facts.
 * :func:`evaluate` materializes all derivable facts; :class:`QueryEngine`
   wraps it with conjunctive queries like ``?- uncle('John', y)``.
 
-:func:`_solve_body` is the package's only conjunctive join.  Rule bodies
-in :func:`evaluate`, query goals in :meth:`QueryEngine.ask`, and the rule
-bodies and goals of the faithful *top-down* algorithm of Appendix B
-(:mod:`repro.logic.labelled`, which hands it per-call tables) all run
-through it.  A Hypothesis suite checks that the two evaluators answer
-random stratified programs alike (``tests/logic/test_evaluator_parity.py``).
+:func:`compile_body` and :class:`JoinPlan` are the package's only
+conjunctive join, run set-at-a-time.  Rule bodies in :func:`evaluate`
+(semi-naive, with the delta literal), query goals in
+:meth:`QueryEngine.ask`, and the rule bodies and goals of the faithful
+*top-down* algorithm of Appendix B (:mod:`repro.logic.labelled`, which
+hands it per-call tables) all run through it.
+
+* **The compiler.**  :func:`compile_body` turns a body and the delta
+  literal's index into a :class:`JoinPlan`.  The plan fixes the literal
+  order, each positive atom's probe position, equality checks and
+  bound slots, and the step at which each comparison, ``=``-binding,
+  skolem and negation runs: the first one where its variables are
+  bound.  An unsafe body raises :class:`~repro.errors.EvaluationError`.
+* **The plan key.**  Plans are cached by (body shape, delta index).
+  The shape keeps predicates, operators, signs and variable names but
+  not constants: those are the plan's parameters, so
+  ``person(level=3)`` and ``person(level=4)`` share one plan.
+* **The executor.**  :meth:`JoinPlan.run` carries a list of plain value
+  tuples through the steps.  A step probes the per-layer index buckets
+  of its bound value for every row; an atom with nothing bound tries
+  every fact of its predicate.  Rows are built in full before the
+  caller adds anything to a store, and answer dicts and derived heads
+  are built from the final rows only.
+
+Two Hypothesis suites check it: against a naive nested-loop evaluator
+(``tests/logic/test_compiled_joins.py``), and Appendix B's top-down
+evaluator against the bottom-up one (``tests/logic/test_evaluator_parity.py``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import defaultdict
+from operator import itemgetter
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -46,7 +71,6 @@ from ..errors import EvaluationError
 from .atoms import Atom, Comparison, ComparisonOp, Literal, Skolem
 from .oterms import TypingOTerm, att_predicate, inst_predicate
 from .rules import DatalogRule, Rule, compile_rules
-from .substitution import EMPTY, Substitution
 from .terms import Constant, Term, Variable
 
 FactTuple = Tuple[Any, ...]
@@ -64,6 +88,37 @@ def _insert(index: Dict[Any, Bucket], value: Any, values: FactTuple) -> None:
         index[value] = {bucket, values}
 
 
+def _bucket(
+    indexes: Sequence[Dict[Any, Bucket]], value: Any
+) -> Union[Set[FactTuple], Tuple[FactTuple, ...]]:
+    """The facts under *value* in the indexes of one predicate's layers.
+
+    One matching layer's bucket is returned as it is (a bare fact comes
+    back as a 1-tuple); when several layers match, a set unions copies,
+    so a fact two sibling layers hold appears once.
+    """
+    found: Optional[Bucket] = None
+    merged: Optional[Set[FactTuple]] = None
+    for index in indexes:
+        bucket = index.get(value)
+        if bucket is None:
+            continue
+        if found is None:
+            found = bucket
+            continue
+        if merged is None:  # a second layer matches: union a copy
+            merged = set(found) if isinstance(found, set) else {found}
+        if isinstance(bucket, set):
+            merged |= bucket
+        else:
+            merged.add(bucket)
+    if merged is not None:
+        return merged
+    if found is None:
+        return ()
+    return found if isinstance(found, set) else (found,)
+
+
 class FactStore:
     """Ground facts grouped by predicate name, optionally layered.
 
@@ -76,11 +131,10 @@ class FactStore:
     a store is layered over them.
 
     Each layer indexes a ``(predicate, position)`` lazily, in one pass,
-    on the first :meth:`facts_at` / :meth:`candidates` probe that needs
-    it (compiled O-term predicates are probed by ``oid`` once the object
-    variable is bound).  A bucket holding one fact is kept as the bare
-    fact tuple and wrapped in a set when returned.  An index is
-    published by a single assignment, so threads probing one shared
+    on the first probe that needs it (:meth:`index`; compiled O-term
+    predicates are probed by ``oid`` once the object variable is bound).
+    A bucket holding one fact is kept as the bare fact tuple.  An index
+    is published by a single assignment, so threads probing one shared
     read-only store may race to build it and still agree.
     """
 
@@ -98,8 +152,12 @@ class FactStore:
         #: predicate -> (own facts when merged, union over the layers)
         self._merged: Dict[str, Tuple[int, Set[FactTuple]]] = {}
 
-    def _holders(self, predicate: str) -> Tuple["FactStore", ...]:
-        """The layers holding *predicate*: parents first, then this one."""
+    def holders(self, predicate: str) -> Tuple["FactStore", ...]:
+        """The layers holding *predicate*: parents first, then this one.
+
+        Every read of a predicate — index probes, scans, negation tests —
+        starts here, so a subclass can fill a predicate on first use.
+        """
         own = (self,) if predicate in self._facts else ()
         if not self._parents:
             return own
@@ -109,10 +167,13 @@ class FactStore:
             self._holding[predicate] = holding
         return holding + own
 
-    def _build_index(self, predicate: str, position: int) -> Dict[Any, Bucket]:
-        """Index this layer's *predicate* facts at *position*, in one pass,
-        and publish the index by a single assignment."""
-        index: Dict[Any, Bucket] = {}
+    def index(self, predicate: str, position: int) -> Dict[Any, Bucket]:
+        """This layer's index of *predicate* at *position*, built lazily
+        in one pass and published by a single assignment."""
+        index = self._index.get((predicate, position))
+        if index is not None:
+            return index
+        index = {}
         for values in self._facts.get(predicate, ()):
             if position < len(values):
                 _insert(index, values[position], values)
@@ -139,29 +200,11 @@ class FactStore:
 
     def facts_at(self, predicate: str, position: int, value: Any) -> Set[FactTuple]:
         """Facts of *predicate* whose argument *position* equals *value*."""
-        found: Optional[Bucket] = None
-        merged: Optional[Set[FactTuple]] = None
-        for layer in self._holders(predicate):
-            index = layer._index.get((predicate, position))
-            if index is None:
-                index = layer._build_index(predicate, position)
-            bucket = index.get(value)
-            if bucket is None:
-                continue
-            if found is None:
-                found = bucket
-                continue
-            if merged is None:  # a second layer matches: union a copy
-                merged = set(found) if isinstance(found, set) else {found}
-            if isinstance(bucket, set):
-                merged |= bucket
-            else:
-                merged.add(bucket)
-        if merged is not None:
-            return merged
-        if found is None:
-            return set()
-        return found if isinstance(found, set) else {found}
+        found = _bucket(
+            [layer.index(predicate, position) for layer in self.holders(predicate)],
+            value,
+        )
+        return found if isinstance(found, set) else set(found)
 
     def candidates(self, predicate: str, bound: "List[Tuple[int, Any]]") -> Set[FactTuple]:
         """The smallest indexed candidate set consistent with *bound*.
@@ -179,13 +222,8 @@ class FactStore:
                 best = bucket
         return best if best is not None else self.facts(predicate)
 
-    def add_atom(self, atom: Atom) -> bool:
-        if not atom.is_ground():
-            raise EvaluationError(f"cannot store non-ground atom {atom}")
-        return self.add(atom.predicate, tuple(c.value for c in atom.args))  # type: ignore[union-attr]
-
     def facts(self, predicate: str) -> Set[FactTuple]:
-        holders = self._holders(predicate)
+        holders = self.holders(predicate)
         if len(holders) == 1:
             return holders[0]._facts[predicate]
         if not holders:
@@ -200,8 +238,7 @@ class FactStore:
 
     def contains(self, predicate: str, values: FactTuple) -> bool:
         return any(
-            values in layer._facts.get(predicate, ())
-            for layer in (self, *self._parents)
+            values in layer._facts[predicate] for layer in self.holders(predicate)
         )
 
     def predicates(self) -> Tuple[str, ...]:
@@ -333,167 +370,386 @@ def stratify(rules: Sequence[DatalogRule]) -> List[List[DatalogRule]]:
 
 
 # ----------------------------------------------------------------------
-# body matching
+# compiled joins
 # ----------------------------------------------------------------------
-def _match_pattern(
-    pattern: Atom, values: FactTuple, substitution: Substitution
-) -> Optional[Substitution]:
-    current = substitution
-    for arg, value in zip(pattern.args, values):
-        resolved = current.apply(arg)
-        if isinstance(resolved, Constant):
-            if resolved.value != value:
-                return None
-        else:
-            extended = current.bind(resolved, Constant(value))
-            if extended is None:
-                return None
-            current = extended
-    return current
+#: one body literal's part of a plan key: (atom kind, sign, predicate /
+#: operator / skolem tag, terms), each term a variable's name or None
+#: for a constant, which is a plan parameter
+ShapeEntry = Tuple[type, bool, Any, Tuple[Optional[str], ...]]
+Row = Tuple[Any, ...]
 
 
-def _ground_value(term: Term, substitution: Substitution) -> Tuple[bool, Any]:
-    resolved = substitution.apply(term)
-    if isinstance(resolved, Constant):
-        return True, resolved.value
-    return False, None
+def _take(slots: Sequence[int]) -> Callable[[Row], Row]:
+    """A function picking *slots* of a tuple, as a tuple."""
+    if not slots:
+        return lambda values: ()
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda values: (values[slot],)
+    return itemgetter(*slots)
 
 
-def _solve_body(
-    body: Sequence[Literal],
-    store: FactStore,
-    substitution: Substitution,
-    delta: Optional[FactStore] = None,
-    delta_literal: Optional[Literal] = None,
-) -> Iterator[Substitution]:
-    """Yield substitutions satisfying *body* (order-optimized join).
+class _Join:
+    """A positive atom: extend each row by every fact matching it.
 
-    Cheap literals (ground comparisons, defining equalities, skolems and
-    ground negations) are evaluated as soon as they become evaluable;
-    among positive atoms the one with the smallest indexed candidate set
-    is joined next.  When *delta_literal* is set (semi-naive), that
-    specific literal reads the delta store instead of the full one.
+    With a bound argument (``probe >= 0``) the facts come from the
+    per-layer index buckets of the row's value in slot ``key``;
+    otherwise every fact of the predicate is tried.  ``checks`` pairs an
+    argument position with the slot of the *extended* row it must
+    equal: other bound arguments, and a variable repeated in the atom.
+    ``binds`` are the positions whose values extend the row.
     """
-    pending: List[Literal] = list(body)
-    if not pending:
-        yield substitution
-        return
 
-    # Phase 1: an evaluable non-join literal costs nothing — do it now.
-    for position, literal in enumerate(pending):
-        atom = literal.atom
-        if isinstance(atom, Comparison):
-            ok_left, left = _ground_value(atom.left, substitution)
-            ok_right, right = _ground_value(atom.right, substitution)
-            if literal.positive and atom.op is ComparisonOp.EQ and ok_left != ok_right:
-                rest = pending[:position] + pending[position + 1:]
-                unbound = atom.right if ok_left else atom.left
-                bound_value = left if ok_left else right
-                resolved = substitution.apply(unbound)
-                assert isinstance(resolved, Variable)
-                extended = substitution.bind(resolved, Constant(bound_value))
-                if extended is not None:
-                    yield from _solve_body(rest, store, extended, delta, delta_literal)
-                return
-            if ok_left and ok_right:
-                rest = pending[:position] + pending[position + 1:]
-                grounded = Comparison(atom.op, Constant(left), Constant(right))
-                if grounded.holds() == literal.positive:
-                    yield from _solve_body(
-                        rest, store, substitution, delta, delta_literal
-                    )
-                return
-            continue
-        if isinstance(atom, Skolem):
-            arg_values = []
-            evaluable = True
-            for arg in atom.args:
-                ok, value = _ground_value(arg, substitution)
-                if not ok:
-                    evaluable = False
-                    break
-                arg_values.append(value)
-            if not evaluable:
-                continue
-            rest = pending[:position] + pending[position + 1:]
-            token = ("sk", atom.tag) + tuple(arg_values)
-            resolved = substitution.apply(atom.result)
-            if isinstance(resolved, Constant):
-                if resolved.value == token:
-                    yield from _solve_body(
-                        rest, store, substitution, delta, delta_literal
-                    )
-                return
-            extended = substitution.bind(resolved, Constant(token))
-            if extended is not None:
-                yield from _solve_body(rest, store, extended, delta, delta_literal)
-            return
-        if not literal.positive and isinstance(atom, Atom):
-            ground = []
-            evaluable = True
-            for arg in atom.args:
-                ok, value = _ground_value(arg, substitution)
-                if not ok:
-                    evaluable = False
-                    break
-                ground.append(value)
-            if not evaluable:
-                continue
-            rest = pending[:position] + pending[position + 1:]
-            if not store.contains(atom.predicate, tuple(ground)):
-                yield from _solve_body(rest, store, substitution, delta, delta_literal)
-            return
+    __slots__ = ("predicate", "arity", "delta", "probe", "key", "checks", "_take")
 
-    # Phase 2: join the most selective positive atom.
-    best_position = -1
-    best_candidates: Optional[Set[FactTuple]] = None
-    for position, literal in enumerate(pending):
-        atom = literal.atom
-        if not (literal.positive and isinstance(atom, Atom)):
-            continue
-        source = delta if literal is delta_literal else store
+    def __init__(
+        self,
+        predicate: str,
+        arity: int,
+        delta: bool,
+        probe: int,
+        key: int,
+        checks: Tuple[Tuple[int, int], ...],
+        binds: Tuple[int, ...],
+    ) -> None:
+        self.predicate = predicate
+        self.arity = arity
+        self.delta = delta
+        self.probe = probe
+        self.key = key
+        self.checks = checks
+        self._take = _take(binds)
+
+    def run(
+        self, rows: List[Row], store: FactStore, delta: Optional[FactStore]
+    ) -> List[Row]:
+        source = delta if self.delta else store
         assert source is not None
-        bound: List[Tuple[int, Any]] = []
-        for argument_position, arg in enumerate(atom.args):
-            resolved = substitution.apply(arg)
-            if isinstance(resolved, Constant):
-                bound.append((argument_position, resolved.value))
-        candidates = source.candidates(atom.predicate, bound)
-        if best_candidates is None or len(candidates) < len(best_candidates):
-            best_position = position
-            best_candidates = candidates
-            if not candidates:
+        out: List[Row] = []
+        if self.probe < 0:
+            facts = source.facts(self.predicate)
+            for row in rows:
+                self._extend(row, facts, out)
+            return out
+        layers = source.holders(self.predicate)
+        if not layers:
+            return out
+        indexes = [layer.index(self.predicate, self.probe) for layer in layers]
+        key = self.key
+        if len(indexes) > 1 or self.checks:
+            for row in rows:
+                self._extend(row, _bucket(indexes, row[key]), out)
+            return out
+        # one layer, nothing to check: the common warm-read probe, inlined
+        # because it measured faster (EXPERIMENTS.md, E-R7)
+        index, arity, take, append = indexes[0], self.arity, self._take, out.append
+        for row in rows:
+            bucket = index.get(row[key])
+            if bucket is None:
+                continue
+            if bucket.__class__ is tuple:
+                if len(bucket) == arity:  # type: ignore[arg-type]
+                    append(row + take(bucket))  # type: ignore[arg-type]
+                continue
+            for values in bucket:  # type: ignore[union-attr]
+                if len(values) == arity:
+                    append(row + take(values))
+        return out
+
+    def _extend(self, row: Row, facts: Iterable[FactTuple], out: List[Row]) -> None:
+        arity, take, checks = self.arity, self._take, self.checks
+        for values in facts:
+            if len(values) != arity:
+                continue
+            extended = row + take(values)
+            if checks and any(values[p] != extended[s] for p, s in checks):
+                continue
+            out.append(extended)
+
+
+class _Test:
+    """A comparison whose sides are both bound: keep the rows it holds
+    for (fails for a negated one)."""
+
+    __slots__ = ("op", "left", "right", "positive")
+
+    def __init__(self, op: ComparisonOp, left: int, right: int, positive: bool) -> None:
+        self.op, self.left, self.right, self.positive = op, left, right, positive
+
+    def run(self, rows: List[Row], store: FactStore, delta: Optional[FactStore]) -> List[Row]:
+        test, left, right, positive = self.op.test, self.left, self.right, self.positive
+        return [row for row in rows if test(row[left], row[right]) == positive]
+
+
+class _Assign:
+    """``x = y`` with only one side bound: a new slot copies slot ``source``."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: int) -> None:
+        self.source = source
+
+    def run(self, rows: List[Row], store: FactStore, delta: Optional[FactStore]) -> List[Row]:
+        source = self.source
+        return [row + (row[source],) for row in rows]
+
+
+class _Skolem:
+    """A skolem over bound arguments: its token ``("sk", tag, *args)``
+    fills a new slot (``result < 0``) or must equal slot ``result``."""
+
+    __slots__ = ("tag", "result", "_take")
+
+    def __init__(self, tag: str, args: Tuple[int, ...], result: int) -> None:
+        self.tag, self.result, self._take = tag, result, _take(args)
+
+    def run(self, rows: List[Row], store: FactStore, delta: Optional[FactStore]) -> List[Row]:
+        prefix, take, result = ("sk", self.tag), self._take, self.result
+        if result < 0:
+            return [row + (prefix + take(row),) for row in rows]
+        return [row for row in rows if row[result] == prefix + take(row)]
+
+
+class _Absent:
+    """A negated atom over bound arguments: keep the rows whose fact no
+    layer of the full store holds."""
+
+    __slots__ = ("predicate", "_take")
+
+    def __init__(self, predicate: str, args: Tuple[int, ...]) -> None:
+        self.predicate, self._take = predicate, _take(args)
+
+    def run(self, rows: List[Row], store: FactStore, delta: Optional[FactStore]) -> List[Row]:
+        contains, predicate, take = store.contains, self.predicate, self._take
+        return [row for row in rows if not contains(predicate, take(row))]
+
+
+Step = Union[_Join, _Test, _Assign, _Skolem, _Absent]
+
+
+class JoinPlan:
+    """A conjunctive body compiled for one delta literal: the steps to
+    run, in order, over rows of values.
+
+    Slot ``i`` of a row holds the body's ``i``-th constant (the plan's
+    parameters come first), then each variable in the order the steps
+    bind it; :attr:`slots` names the variable slots.
+    """
+
+    __slots__ = ("steps", "slots")
+
+    def __init__(self, steps: Tuple[Step, ...], slots: Dict[str, int]) -> None:
+        self.steps = steps
+        self.slots = slots
+
+    def run(
+        self, store: FactStore, params: Sequence[Any], delta: Optional[FactStore] = None
+    ) -> List[Row]:
+        """Every row satisfying the body over *store* (the delta literal
+        reads *delta*), built in full before the caller adds anything."""
+        rows: List[Row] = [tuple(params)]
+        for step in self.steps:
+            rows = step.run(rows, store, delta)
+            if not rows:
                 break
-    if best_candidates is None:
+        return rows
+
+
+def _shape(body: Sequence[Literal]) -> Tuple[Tuple[ShapeEntry, ...], Tuple[Any, ...]]:
+    """*body*'s plan key without its constants, and the constants in the
+    order the key lists them."""
+    params: List[Any] = []
+
+    def term(value: Term) -> Optional[str]:
+        if isinstance(value, Variable):
+            return value.name
+        params.append(value.value)
+        return None
+
+    shape: List[ShapeEntry] = []
+    for literal in body:
+        atom = literal.atom
+        if isinstance(atom, Atom):
+            terms, name = atom.args, atom.predicate
+        elif isinstance(atom, Comparison):
+            terms, name = (atom.left, atom.right), atom.op
+        else:
+            terms, name = (*atom.args, atom.result), atom.tag
+        shape.append((type(atom), literal.positive, name, tuple(map(term, terms))))
+    return tuple(shape), tuple(params)
+
+
+class _Compiler:
+    """Orders one body's literals and assigns their slots (see :func:`_plan`)."""
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.slots: Dict[str, int] = {}
+        self.size = width
+
+    def ref(self, term: Union[int, str]) -> Optional[int]:
+        """The slot holding *term* (a parameter's slot, or a bound
+        variable's), or None for an unbound variable."""
+        return term if isinstance(term, int) else self.slots.get(term)
+
+    def new(self, name: str) -> None:
+        self.slots[name] = self.size
+        self.size += 1
+
+    def builtin(
+        self, kind: type, positive: bool, name: Any, terms: Tuple[Any, ...]
+    ) -> Optional[Step]:
+        """The step for a comparison, skolem or negated atom once its
+        variables are bound (an ``=`` once either side is), else None."""
+        refs = [self.ref(term) for term in terms]
+        if kind is Comparison:
+            left, right = refs
+            if left is not None and right is not None:
+                return _Test(name, left, right, positive)
+            if positive and name is ComparisonOp.EQ and (left, right) != (None, None):
+                source = left if left is not None else right
+                assert source is not None
+                self.new(terms[0] if left is None else terms[1])
+                return _Assign(source)
+            return None
+        if kind is Skolem:  # the sign of a skolem carries no meaning
+            if any(ref is None for ref in refs[:-1]):
+                return None
+            args, result = tuple(refs[:-1]), refs[-1]
+            if result is None:
+                result = -1
+                self.new(terms[-1])
+            return _Skolem(name, args, result)  # type: ignore[arg-type]
+        if not positive and all(ref is not None for ref in refs):
+            return _Absent(name, tuple(refs))  # type: ignore[arg-type]
+        return None
+
+    def known(self, terms: Tuple[Any, ...]) -> int:
+        return sum(self.ref(term) is not None for term in terms)
+
+    def join(self, predicate: str, terms: Tuple[Any, ...], delta: bool) -> _Join:
+        """The step for a positive atom: probe its bound argument (a
+        variable's before a constant's, then the first), check the
+        others, bind the rest."""
+        bound = [
+            (position, slot)
+            for position, slot in enumerate(self.ref(term) for term in terms)
+            if slot is not None
+        ]
+        probe, key = min(bound, key=lambda pair: (pair[1] < self.width, pair[0]), default=(-1, -1))
+        checks = [(position, slot) for position, slot in bound if position != probe]
+        bound_positions = {position for position, _ in bound}
+        binds: List[int] = []
+        for position, term in enumerate(terms):
+            if position in bound_positions:
+                continue
+            if term in self.slots:  # repeated in this atom
+                checks.append((position, self.slots[term]))
+            else:
+                self.new(term)
+                binds.append(position)
+        return _Join(predicate, len(terms), delta, probe, key, tuple(checks), tuple(binds))
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(shape: Tuple[ShapeEntry, ...], delta_index: Optional[int]) -> Optional[JoinPlan]:
+    """Compile a body shape; None when the body is unsafe.
+
+    Comparisons, skolems and negations run at the first step where
+    their variables are bound.  Positive atoms go in greedy order: the
+    delta literal first, then an atom with a bound argument before one
+    without (no cross product while a join is possible), fewer unbound
+    arguments first, then body order.  Plans are immutable and hold no
+    data, so one cache serves every store and thread; its bound caps
+    the distinct body shapes a long-running process keeps.
+    """
+    counter = itertools.count()
+    pending = [
+        (number, kind, positive, name, tuple(next(counter) if t is None else t for t in terms))
+        for number, (kind, positive, name, terms) in enumerate(shape)
+    ]
+    compiler = _Compiler(next(counter))
+    steps: List[Step] = []
+    while True:
+        placed = True
+        while placed:
+            placed = False
+            for item in pending:
+                number, kind, positive, name, terms = item
+                step = None if kind is Atom and positive else compiler.builtin(
+                    kind, positive, name, terms
+                )
+                if step is not None:
+                    steps.append(step)
+                    pending.remove(item)
+                    placed = True
+                    break
+        atoms = [item for item in pending if item[1] is Atom and item[2]]
+        if not atoms:
+            break
+        item = min(
+            atoms,
+            key=lambda item: (
+                item[0] != delta_index,
+                compiler.known(item[4]) == 0,
+                len(item[4]) - compiler.known(item[4]),
+                item[0],
+            ),
+        )
+        pending.remove(item)
+        steps.append(compiler.join(item[3], item[4], item[0] == delta_index))
+    if pending:
+        return None
+    return JoinPlan(tuple(steps), compiler.slots)
+
+
+def compile_body(
+    body: Sequence[Literal], delta_index: Optional[int] = None
+) -> Tuple[JoinPlan, Tuple[Any, ...]]:
+    """*body*'s join plan and its parameters (the body's constants).
+
+    The plan is cached by (body shape, *delta_index*): constants are not
+    part of the key, so ``person(level=3)`` and ``person(level=4)``
+    share one plan.  Run it with ``plan.run(store, params, delta)``.
+    """
+    shape, params = _shape(body)
+    plan = _plan(shape, delta_index)
+    if plan is None:
         raise EvaluationError(
             "body cannot be evaluated — unsafe rule slipped through: "
             + ", ".join(str(literal) for literal in body)
         )
-    literal = pending[best_position]
-    atom = literal.atom
-    assert isinstance(atom, Atom)
-    rest = pending[:best_position] + pending[best_position + 1:]
-    for values in best_candidates:
-        if len(values) != atom.arity:
-            continue
-        extended = _match_pattern(atom, values, substitution)
-        if extended is not None:
-            yield from _solve_body(rest, store, extended, delta, delta_literal)
+    return plan, params
 
 
 def _derive(
     rule: DatalogRule,
     store: FactStore,
-    delta: Optional[FactStore],
-    delta_literal: Optional[Literal],
-) -> List[Atom]:
-    derived: List[Atom] = []
-    for substitution in _solve_body(rule.body, store, EMPTY, delta, delta_literal):
-        head = rule.head.substitute(substitution)
-        if not head.is_ground():
-            raise EvaluationError(f"derived non-ground head {head} from {rule}")
-        derived.append(head)
-    return derived
+    delta: Optional[FactStore] = None,
+    delta_index: Optional[int] = None,
+) -> List[FactTuple]:
+    """The head values of every body solution of *rule* (the body literal
+    at *delta_index* reads *delta*: semi-naive)."""
+    plan, params = compile_body(rule.body, delta_index=delta_index)
+    rows = plan.run(store, params, delta)
+    if not rows:
+        return []
+    head: List[Tuple[Optional[int], Any]] = []
+    for arg in rule.head.args:
+        if isinstance(arg, Constant):
+            head.append((None, arg.value))
+        elif arg.name in plan.slots:
+            head.append((plan.slots[arg.name], None))
+        else:
+            raise EvaluationError(f"derived non-ground head {rule.head} from {rule}")
+    slots = [slot for slot, _ in head if slot is not None]
+    if len(slots) == len(head):
+        take = _take(slots)
+        return [take(row) for row in rows]
+    return [
+        tuple(value if slot is None else row[slot] for slot, value in head)
+        for row in rows
+    ]
 
 
 def evaluate(
@@ -515,10 +771,10 @@ def evaluate(
         # Round 0: full evaluation of the layer.
         delta = FactStore()
         for rule in layer:
-            for atom in _derive(rule, store, None, None):
-                values = tuple(c.value for c in atom.args)  # type: ignore[union-attr]
-                if store.add(atom.predicate, values):
-                    delta.add(atom.predicate, values)
+            predicate = rule.head.predicate
+            for values in _derive(rule, store):
+                if store.add(predicate, values):
+                    delta.add(predicate, values)
         iterations = 0
         while len(delta):
             iterations += 1
@@ -527,15 +783,15 @@ def evaluate(
             new_delta = FactStore()
             delta_predicates = set(delta.predicates())
             for rule in layer:
-                for literal in rule.body:
+                predicate = rule.head.predicate
+                for index, literal in enumerate(rule.body):
                     if not (literal.positive and isinstance(literal.atom, Atom)):
                         continue
                     if literal.atom.predicate not in delta_predicates:
                         continue  # this literal cannot touch new facts
-                    for atom in _derive(rule, store, delta, literal):
-                        values = tuple(c.value for c in atom.args)  # type: ignore[union-attr]
-                        if store.add(atom.predicate, values):
-                            new_delta.add(atom.predicate, values)
+                    for values in _derive(rule, store, delta, index):
+                        if store.add(predicate, values):
+                            new_delta.add(predicate, values)
             delta = new_delta
     return store
 
@@ -567,26 +823,15 @@ class QueryEngine:
 
     def ask(self, *goals: Atom) -> List[Dict[str, Any]]:
         """Answers to the conjunction of *goals* as variable bindings."""
-        literals = [Literal(goal) for goal in goals]
-        answers: List[Dict[str, Any]] = []
-        seen: Set[Tuple[Tuple[str, Any], ...]] = set()
-        variables: List[Variable] = []
-        for goal in goals:
-            for variable in goal.args:
-                if isinstance(variable, Variable) and variable not in variables:
-                    variables.append(variable)
-        for substitution in _solve_body(literals, self.materialized, EMPTY):
-            binding = {}
-            for variable in variables:
-                resolved = substitution.apply(variable)
-                binding[variable.name] = (
-                    resolved.value if isinstance(resolved, Constant) else None
-                )
-            key = tuple(sorted(binding.items(), key=lambda kv: kv[0]))
-            if key not in seen:
-                seen.add(key)
-                answers.append(binding)
-        return answers
+        plan, params = compile_body([Literal(goal) for goal in goals])
+        rows = plan.run(self.materialized, params)
+        names = list(
+            dict.fromkeys(
+                arg.name for goal in goals for arg in goal.args if isinstance(arg, Variable)
+            )
+        )
+        take = _take([plan.slots[name] for name in names])
+        return [dict(zip(names, take(row))) for row in rows]
 
     def holds(self, goal: Atom) -> bool:
         """True when the ground *goal* is derivable."""

@@ -22,8 +22,9 @@ Each call gets its own ``temp`` tables: a predicate's table is evaluated
 on its first probe and then served from a :class:`FactStore`, so a
 concept is fetched at most once per schema per query however many
 goals and rule bodies read it.  The joins ``temp_1 ⋈ ... ⋈ temp_n`` and
-the query's goal conjunction run on the bottom-up engine's body solver;
-this module has no join of its own.
+the query's goal conjunction run as the bottom-up engine's compiled join
+plans (:func:`~repro.logic.engine.compile_body`); this module has no
+join of its own.
 
 Local schemas plug in through the tiny :class:`SchemaSource` protocol
 (``fetch(predicate) -> set of value tuples``), so both in-memory stores
@@ -144,8 +145,8 @@ class _Tables(FactStore):
 
     A predicate's table is evaluated on its first probe — the union of
     its schemas' extensions and of its rules' joins — and then served
-    from this store, so the engine's body solver joins rule bodies and
-    query goals alike.
+    from this store, so the engine's join plans read rule bodies and query
+    goals alike: every read of a predicate starts at :meth:`holders`.
     """
 
     def __init__(self, program: LabelledProgram) -> None:
@@ -173,18 +174,14 @@ class _Tables(FactStore):
             for literal in rule.body:
                 if isinstance(literal.atom, Atom):
                     self.evaluate(literal.atom.predicate)
-            for head in _derive(rule, self, None, None):
-                self.add_atom(head)
+            for values in _derive(rule, self):
+                self.add(predicate, values)
         self._stack.pop()
         self._evaluated.add(predicate)
 
-    def candidates(self, predicate: str, bound: List[Tuple[int, Any]]) -> Set[FactTuple]:
+    def holders(self, predicate: str) -> Tuple[FactStore, ...]:
         self.evaluate(predicate)
-        return super().candidates(predicate, bound)
-
-    def contains(self, predicate: str, values: FactTuple) -> bool:
-        self.evaluate(predicate)
-        return super().contains(predicate, values)
+        return super().holders(predicate)
 
 
 def source_from_facts(

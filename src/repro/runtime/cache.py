@@ -327,7 +327,8 @@ class ExtentCache:
                     chain = chains[since]
                     description = describe_granule(key, variant)
                     if chain is None:
-                        self._evict_variant(key, granule, variant)
+                        if self._evict_variant(key, granule, variant):
+                            outcome.lift_slices_dropped += 1
                         outcome.fallbacks.append((description, "sequence gap"))
                         continue
                     relevant = [
@@ -336,11 +337,15 @@ class ExtentCache:
                         for record in delta.records
                         if record.relation == key[2]
                     ]
-                    entry.slices = None
+                    if relevant and entry.slices is not None:
+                        # the value changes: so would what is lifted from it
+                        entry.slices = None
+                        outcome.lift_slices_dropped += 1
                     try:
                         patch_variant(entry.value, variant, relevant, shard_coord)
                     except DeltaUnpatchable as reason:
-                        self._evict_variant(key, granule, variant)
+                        if self._evict_variant(key, granule, variant):
+                            outcome.lift_slices_dropped += 1
                         outcome.fallbacks.append((description, str(reason)))
                         continue
                     entry.source_generation = target_version
@@ -364,9 +369,11 @@ class ExtentCache:
         key: Tuple[Any, ...],
         granule: Dict[Tuple[str, Optional[str]], _Entry],
         variant: Tuple[str, Optional[str]],
-    ) -> None:
-        """Drop one variant (both tiers); the caller holds the lock."""
+    ) -> bool:
+        """Drop one variant (both tiers); the caller holds the lock.
+        True when the variant carried lifted slices."""
         entry = granule.pop(variant, None)
+        dropped = entry is not None and entry.slices is not None
         if entry is not None:
             entry.slices = None
         if not granule:
@@ -375,6 +382,7 @@ class ExtentCache:
         if self._store is not None:
             with self._persistence_timer():
                 self._store.delete(key, variant)
+        return dropped
 
     # ------------------------------------------------------------------
     def invalidate(

@@ -33,6 +33,10 @@ Counter vocabulary (all monotonic):
 ``fallback_invalidations``  variants evicted because a delta chain could
                         not patch them (gap / rescan marker / value-set
                         delete) — targeted eviction, never a full bump
+``lift_slices_built`` / ``lift_slices_reused``  lifted fact slices built
+                        from a cached extent, or served from its entry
+``lift_slices_dropped`` slice maps a delta sync dropped: a patch changed
+                        their extent, or a fallback evicted it
 
 Timer vocabulary includes the ``persistence`` phase: every persistent
 extent-store interaction (the warm-restart reload, spills on fill,

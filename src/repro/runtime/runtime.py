@@ -430,7 +430,8 @@ class FederationRuntime:
         of this request's ``(agent, schema)`` before the freshness
         check, so a single-row write patches instead of forcing rescans.
         Un-patchable variants are individually evicted and accounted in
-        ``fallback_invalidations`` — never a full generation bump."""
+        ``fallback_invalidations`` — never a full generation bump; lifted
+        slices dropped along the way count in ``lift_slices_dropped``."""
         outcome = self.cache.apply_deltas(
             request.agent,
             request.schema,
@@ -441,6 +442,8 @@ class FederationRuntime:
             self.metrics.incr("deltas_applied", outcome.deltas_applied)
         if outcome.granules_patched:
             self.metrics.incr("granules_patched", outcome.granules_patched)
+        if outcome.lift_slices_dropped:
+            self.metrics.incr("lift_slices_dropped", outcome.lift_slices_dropped)
         for description, _reason in outcome.fallbacks:
             self.metrics.record("fallback_invalidations", description)
 

@@ -127,6 +127,29 @@ class TestSliceLifetime:
         assert federation.counter("lift_slices_built") >= 1
         federation.assert_matches()
 
+    def test_a_patch_keeps_the_slices_of_relations_it_does_not_touch(self, federation):
+        query = "enrollment(course='course1') -> mark, person_ssn"
+        federation.fsm.query(query)
+        federation.update_level(number=2, level=5)  # a person row, not enrollment
+        federation.fsm.query(query)
+        assert federation.counter("granules_patched") >= 1
+        assert federation.counter("lift_slices_reused") == 1
+        assert federation.counter("lift_slices_built") == 0
+        federation.assert_matches()
+
+    def test_dropped_slices_are_counted_and_reported(self, federation):
+        federation.update_level(number=2, level=5)
+        federation.fsm.query("enrollment() -> course, mark, person_ssn")
+        stats = federation.fsm.last_query_stats
+        # the patch changed university's person extent: its slice goes
+        assert stats.counter("lift_slices_dropped") == 1
+        assert "lift_slices_dropped    1" in stats.describe()  # CLI --stats
+        assert stats_to_dict(stats)["counters"]["lift_slices_dropped"] == 1  # /stats
+        federation.fsm.query(QUERIES[0])
+        assert federation.counter("lift_slices_dropped") == 0
+        assert federation.counter("lift_slices_built") == 1  # only the patched one
+        federation.assert_matches()
+
     def test_explicit_invalidation(self, federation):
         dropped = federation.runtime.invalidate(schema="university", class_name="person")
         assert dropped == 1
