@@ -73,8 +73,8 @@ data plane — every query round re-runs the real per-item §3 work
 filtering) for every shard granule plus the Appendix-B rule-body join,
 threaded pool vs ``mode="multiprocess"`` at 8 workers.  The threaded
 executor serializes all of it on the GIL no matter how many threads it
-owns; the process pool spreads it across cores, exchanging columnar
-extents.  Answers must be byte-identical; the speedup is recorded
+owns; the process pool spreads it across cores, its workers answering
+in pickled instance lists.  Answers must be byte-identical; the speedup is recorded
 together with the machine's CPU count, because on few-core boxes (CI
 containers, this very benchmark under ``nproc=1``) there is no
 parallelism for the pool to win and only the parity claim is

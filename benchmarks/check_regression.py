@@ -302,7 +302,7 @@ def check(
         if not mp.get("answers_identical", False):
             problems.append(
                 "mp answers_identical is false (the multiprocess data "
-                "plane changed an answer — the columnar codec or shard "
+                "plane changed an answer — a worker reply or the shard "
                 "merge lost data)"
             )
         mp_threaded = mp.get("threaded_ms", 0.0)

@@ -26,7 +26,7 @@ Subcommands:
     threaded|async|multiprocess`` picks the execution engine (``--async``
     is shorthand for ``--mode async``; ``--max-inflight`` bounds the
     async in-flight window; multiprocess runs shard scans in spawned
-    worker processes exchanging columnar extents), ``--shards N``
+    worker processes that answer in pickled instance lists), ``--shards N``
     scatters every extent scan across
     N shard endpoints per agent (``--shard-kind hash|range`` picks the
     OID partitioning), ``--cache-path FILE`` persists the extent cache
@@ -164,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("threaded", "async", "multiprocess"),
         default=None,
         help="execution engine: thread-pool fan-out (default), one asyncio "
-        "event loop, or spawn-based worker processes exchanging columnar "
-        "extents (--workers sizes the pool in every mode)",
+        "event loop, or spawn-based worker processes that answer in "
+        "pickled instance lists (--workers sizes the pool in every mode)",
     )
     query.add_argument(
         "--async",

@@ -198,30 +198,6 @@ class FactStore:
                     _insert(index, value, values)
         return True
 
-    def facts_at(self, predicate: str, position: int, value: Any) -> Set[FactTuple]:
-        """Facts of *predicate* whose argument *position* equals *value*."""
-        found = _bucket(
-            [layer.index(predicate, position) for layer in self.holders(predicate)],
-            value,
-        )
-        return found if isinstance(found, set) else set(found)
-
-    def candidates(self, predicate: str, bound: "List[Tuple[int, Any]]") -> Set[FactTuple]:
-        """The smallest indexed candidate set consistent with *bound*.
-
-        *bound* lists (position, value) pairs known ground; the tightest
-        single-position bucket is returned (remaining positions are
-        checked by the caller's match).  Falls back to the full set.
-        """
-        best: Optional[Set[FactTuple]] = None
-        for position, value in bound:
-            bucket = self.facts_at(predicate, position, value)
-            if not bucket:
-                return bucket
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        return best if best is not None else self.facts(predicate)
-
     def facts(self, predicate: str) -> Set[FactTuple]:
         holders = self.holders(predicate)
         if len(holders) == 1:
@@ -249,17 +225,6 @@ class FactStore:
                 for predicate in layer._facts
             )
         )
-
-    def merge(self, other: "FactStore") -> None:
-        for predicate, values in other:
-            self.add(predicate, values)
-
-    def copy(self) -> "FactStore":
-        """A flat, writable store holding every fact of every layer."""
-        clone = FactStore()
-        for predicate in self.predicates():
-            clone._facts[predicate] = set(self.facts(predicate))
-        return clone
 
     def __len__(self) -> int:
         return sum(len(self.facts(predicate)) for predicate in self.predicates())

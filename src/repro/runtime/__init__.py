@@ -17,13 +17,11 @@ query paths and the agents:
   fault injection, sleeping on the loop, not a thread) and the
   event-loop driver of the same attempt loop, with ``asyncio.timeout``
   deadlines and a semaphore-bounded in-flight window;
-* :mod:`~repro.runtime.columnar` / :mod:`~repro.runtime.mp_executor`
-  — the multiprocess data plane: :class:`ColumnarExtent` encodes
-  O-term extents as tuples-of-arrays (cheap to pickle, lossless), and
-  :class:`MultiprocessFederationExecutor` runs shard scans in
-  ``spawn``-ed worker processes that rehydrate the federation's
-  source adapters from manifest-vocabulary specs, so CPU-bound
-  per-item work escapes the GIL;
+* :mod:`~repro.runtime.mp_executor` — the multiprocess data plane:
+  :class:`ProcessPoolTransport` runs shard scans in ``spawn``-ed worker
+  processes that rehydrate the federation's source adapters from
+  manifest-vocabulary specs and answer in pickled instance lists, so
+  CPU-bound per-item work escapes the GIL;
 * :mod:`~repro.runtime.sharding` — :class:`ShardPlan` /
   :class:`ShardSpec`: split one schema's extent across N shard
   endpoints (hash or range over global OIDs) and merge the slices back
@@ -53,7 +51,6 @@ from .async_transport import (
 )
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .cache import MISS, ExtentCache
-from .columnar import ColumnarExtent, merge_columnar
 from .deltas import (
     DELTA_OPS,
     DeltaLog,
@@ -73,7 +70,6 @@ from .executor import (
 )
 from .metrics import RuntimeMetrics, RuntimeStats, TimerStats
 from .mp_executor import (
-    MultiprocessFederationExecutor,
     ProcessPoolTransport,
     build_worker_spec,
     wrap_multiprocess,
@@ -114,7 +110,6 @@ __all__ = [
     "AsyncTransportAdapter",
     "CLOSED",
     "CircuitBreaker",
-    "ColumnarExtent",
     "DELTA_OPS",
     "DeltaLog",
     "DeltaOutcome",
@@ -132,7 +127,6 @@ __all__ = [
     "InProcessTransport",
     "MISS",
     "MODES",
-    "MultiprocessFederationExecutor",
     "OPEN",
     "PLAN_KINDS",
     "ProcessPoolTransport",
@@ -156,7 +150,6 @@ __all__ = [
     "contributing_classes",
     "describe_granule",
     "expand_outcome",
-    "merge_columnar",
     "merge_shard_values",
     "plan_query",
     "shard_of_oid",

@@ -181,7 +181,7 @@ class AsyncFederationExecutor(ScanExecutor):
     # ------------------------------------------------------------------
     async def run_one_async(self, request: Scannable) -> Any:
         """One dispatch through the retry / breaker / deadline machinery."""
-        return self._decode((await self._attempt_async(request)).result())
+        return (await self._attempt_async(request)).result()
 
     async def run_async(self, requests: Iterable[Scannable]) -> ScanOutcome:
         """Fan *requests* out concurrently; never raises per-scan failures."""

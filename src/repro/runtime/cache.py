@@ -33,8 +33,10 @@ warm query does not lift the same granule again.  A caller reads the
 value together with an :class:`EntryVersion`; a slice is served only
 for that exact entry version, attached only while the entry is still
 the one served at that version, and dropped on every path that
-replaces, patches, evicts or invalidates the entry.  Slices live in
-memory only and never reach the persistent tier.
+replaces, patches, evicts or invalidates the entry, or lifts it again
+under a new context; with *metrics* attached every drop counts in
+``lift_slices_dropped``.  Slices live in memory only and never reach
+the persistent tier.
 """
 
 from __future__ import annotations
@@ -138,6 +140,14 @@ class ExtentCache:
                     self.restored += 1
 
     # ------------------------------------------------------------------
+    def _drop_slices(self, entry: _Entry) -> None:
+        """Forget *entry*'s lifted slices, counting a dropped slice map;
+        the caller holds the lock."""
+        if entry.slices is not None:
+            entry.slices = None
+            if self._metrics is not None:
+                self._metrics.incr("lift_slices_dropped")
+
     def _persistence_timer(self) -> ContextManager[None]:
         """Time store traffic under the metrics' ``persistence`` phase."""
         if self._metrics is None:
@@ -159,7 +169,7 @@ class ExtentCache:
             self._generation += 1
             for granule in self._granules.values():
                 for entry in granule.values():
-                    entry.slices = None
+                    self._drop_slices(entry)
             if self._store is not None:
                 with self._persistence_timer():
                     self._store.set_generation(self._generation)
@@ -214,7 +224,7 @@ class ExtentCache:
             granule = self._granules.setdefault(key, {})
             replaced = granule.get(variant)
             if replaced is not None:
-                replaced.slices = None
+                self._drop_slices(replaced)
             entry = _Entry(_copy(value), self._generation, source_generation)
             granule[variant] = entry
             if self._store is not None and source_generation is not None:
@@ -261,6 +271,7 @@ class ExtentCache:
             ):
                 return
             if entry.slices is None or entry.slices[0] != context:
+                self._drop_slices(entry)
                 entry.slices = (context, {})
             entry.slices[1][name] = store
 
@@ -327,8 +338,7 @@ class ExtentCache:
                     chain = chains[since]
                     description = describe_granule(key, variant)
                     if chain is None:
-                        if self._evict_variant(key, granule, variant):
-                            outcome.lift_slices_dropped += 1
+                        self._evict_variant(key, granule, variant)
                         outcome.fallbacks.append((description, "sequence gap"))
                         continue
                     relevant = [
@@ -337,15 +347,13 @@ class ExtentCache:
                         for record in delta.records
                         if record.relation == key[2]
                     ]
-                    if relevant and entry.slices is not None:
+                    if relevant:
                         # the value changes: so would what is lifted from it
-                        entry.slices = None
-                        outcome.lift_slices_dropped += 1
+                        self._drop_slices(entry)
                     try:
                         patch_variant(entry.value, variant, relevant, shard_coord)
                     except DeltaUnpatchable as reason:
-                        if self._evict_variant(key, granule, variant):
-                            outcome.lift_slices_dropped += 1
+                        self._evict_variant(key, granule, variant)
                         outcome.fallbacks.append((description, str(reason)))
                         continue
                     entry.source_generation = target_version
@@ -369,20 +377,17 @@ class ExtentCache:
         key: Tuple[Any, ...],
         granule: Dict[Tuple[str, Optional[str]], _Entry],
         variant: Tuple[str, Optional[str]],
-    ) -> bool:
-        """Drop one variant (both tiers); the caller holds the lock.
-        True when the variant carried lifted slices."""
+    ) -> None:
+        """Drop one variant (both tiers); the caller holds the lock."""
         entry = granule.pop(variant, None)
-        dropped = entry is not None and entry.slices is not None
         if entry is not None:
-            entry.slices = None
+            self._drop_slices(entry)
         if not granule:
             # an emptied granule dict must not be stranded forever
             self._granules.pop(key, None)
         if self._store is not None:
             with self._persistence_timer():
                 self._store.delete(key, variant)
-        return dropped
 
     # ------------------------------------------------------------------
     def invalidate(
@@ -420,7 +425,7 @@ class ExtentCache:
             ]
             for key in doomed:
                 for entry in self._granules.pop(key).values():
-                    entry.slices = None
+                    self._drop_slices(entry)
             if self._store is not None and doomed:
                 with self._persistence_timer():
                     for key in doomed:
@@ -431,7 +436,7 @@ class ExtentCache:
         with self._lock:
             for granule in self._granules.values():
                 for entry in granule.values():
-                    entry.slices = None
+                    self._drop_slices(entry)
             self._granules.clear()
             if self._store is not None:
                 with self._persistence_timer():

@@ -190,9 +190,6 @@ class DeltaOutcome:
     deltas_applied: int = 0
     #: cache variants brought to the target version in place
     granules_patched: int = 0
-    #: lifted slice maps dropped with the values they were lifted from
-    #: (a patch that changed the value, or a fallback eviction)
-    lift_slices_dropped: int = 0
     #: ``(granule description, reason)`` for every variant evicted via
     #: the targeted fallback — the exact account the stats owe callers
     fallbacks: List[Tuple[str, str]] = dataclasses.field(default_factory=list)

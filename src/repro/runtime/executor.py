@@ -280,52 +280,37 @@ class ScanExecutor:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _decode(self, value: Any) -> Any:
-        """Hook: translate a transport payload to its caller-facing form.
-
-        The threaded and asyncio transports already answer in instance
-        lists, so the base passes values through; the multiprocess
-        executor overrides this to decode the columnar wire format
-        exactly once, at the caller/cache boundary.
-        """
-        return value
-
     def run_one(self, request: Scannable) -> Any:
-        """One dispatch through the retry / breaker / timeout machinery,
-        decoded to caller-facing form; raises the final error."""
-        return self._decode(self._attempt(request).result())
+        """One dispatch through the retry / breaker / timeout machinery;
+        raises the final error."""
+        return self._attempt(request).result()
 
-    def run(self, requests: Iterable[Scannable], _raw: bool = False) -> ScanOutcome:
-        """Fan *requests* out; never raises for per-scan failures.
-
-        *_raw* is internal: :meth:`run_sharded` keeps shard slices in
-        wire form for the array-level merge, decoding once after the
-        fold.
-        """
+    def run(self, requests: Iterable[Scannable]) -> ScanOutcome:
+        """Fan *requests* out; never raises for per-scan failures."""
         pending = list(requests)
         if not pending:
             return ScanOutcome({})
-        return self._outcome(self._attempt_all(pending), _raw)
+        return self._outcome(self._attempt_all(pending))
 
-    def _outcome(self, loops: Iterable[AttemptLoop], raw: bool = False) -> ScanOutcome:
+    def _outcome(self, loops: Iterable[AttemptLoop]) -> ScanOutcome:
         results: Dict[Scannable, Any] = {}
         failures: List[ScanFailure] = []
         for loop in loops:
             if loop.error is None:
-                results[loop.request] = loop.value if raw else self._decode(loop.value)
+                results[loop.request] = loop.value
             else:
                 failures.append(loop.failure())
         if failures:
             self.metrics.incr("scan_failures", len(failures))
         return ScanOutcome(results, failures)
 
-    def run_coalesced(self, requests: Iterable[ScanRequest], _raw: bool = False) -> ScanOutcome:
+    def run_coalesced(self, requests: Iterable[ScanRequest]) -> ScanOutcome:
         """Fan *requests* out with scan coalescing: all granules bound for
         one endpoint ride a single batched round-trip, and the outcome is
         expanded back to per-granule results/failures — callers (cache
         fills, failure policies) see exactly the shape :meth:`run` gives.
         """
-        outcome = self.run(coalesce_by_endpoint(requests), _raw)
+        outcome = self.run(coalesce_by_endpoint(requests))
         return expand_outcome(outcome, self.metrics)
 
     def run_sharded(
@@ -353,15 +338,9 @@ class ScanExecutor:
             for shard_request in shard_requests
             if shard_request not in known
         ]
-        outcome = (self.run_coalesced if coalesce else self.run)(pending, _raw=True)
+        outcome = (self.run_coalesced if coalesce else self.run)(pending)
         known.update(outcome.results)
         merged = merge_outcome(groups, known, outcome.failures)
-        # slices were merged in wire form (columnar folds stay on the
-        # arrays); decode once here so callers and caches see instances
-        for logical, value in list(merged.results.items()):
-            merged.results[logical] = self._decode(value)
-        for shard_request, value in list(merged.shard_results.items()):
-            merged.shard_results[shard_request] = self._decode(value)
         for endpoint in merged.missing_endpoints:
             self.metrics.record("missing_shards", endpoint)
         return merged

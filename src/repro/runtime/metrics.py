@@ -35,8 +35,11 @@ Counter vocabulary (all monotonic):
                         delete) — targeted eviction, never a full bump
 ``lift_slices_built`` / ``lift_slices_reused``  lifted fact slices built
                         from a cached extent, or served from its entry
-``lift_slices_dropped`` slice maps a delta sync dropped: a patch changed
-                        their extent, or a fallback evicted it
+``lift_slices_dropped`` slice maps dropped with their cache entry's value:
+                        a replacing fill, a stale eviction, a patch or
+                        fallback eviction of a delta sync, an explicit
+                        invalidation or clear, a generation bump, or a
+                        re-lift under a new mapping/schema context
 
 Timer vocabulary includes the ``persistence`` phase: every persistent
 extent-store interaction (the warm-restart reload, spills on fill,

@@ -19,17 +19,20 @@ the GIL: E-R1/E-R4 show throughput flatlining as workers are added.
   :class:`~repro.runtime.transport.InProcessTransport` hop of a
   transport chain, dispatching each :class:`Scannable` (a shard
   granule, or one shard's whole coalesced batch) to the pool; extents
-  come back as :class:`~repro.runtime.columnar.ColumnarExtent` arrays,
-  cheap to pickle across the process boundary.  Control-plane calls —
+  come back as plain pickled instance lists — the format the
+  persistent tier stores — so shard merges, the cache and callers see
+  exactly what the threaded runtime hands them.  Control-plane calls —
   ``generation``, ``changes``, agent lookup — stay parent-side, so the
   cache, persistence and delta-feed paths are byte-for-byte the ones
-  the threaded runtime uses;
-* :class:`MultiprocessFederationExecutor` inherits the threaded driver
-  of the one failure model (retry, backoff, breaker, and deadlines via
-  :func:`~repro.runtime.executor._call_with_timeout`) unchanged, and
-  decodes columnar payloads exactly once at the caller/cache boundary
-  (shard merges fold the arrays first, see
-  :func:`~repro.runtime.sharding.merge_shard_values`).
+  the threaded runtime uses.
+
+``mode="multiprocess"`` drives the pool with the threaded
+:class:`~repro.runtime.executor.FederationExecutor` unchanged (retry,
+backoff, breaker, and deadlines via
+:func:`~repro.runtime.executor._call_with_timeout`): the pool hop
+raises the same :class:`~repro.errors.TransportError` taxonomy the
+simulated network does, and the runtime closes the pool on
+:meth:`~repro.runtime.runtime.FederationRuntime.close`.
 
 Worker snapshots are guarded by **generation staleness**: the spec
 records each store's version at build time, and a ``perform`` that
@@ -51,32 +54,24 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Type, TypeVar
 
 from ..errors import RuntimeFederationError, TransportError
 from ..federation.agent import FSMAgent
-from .breaker import CircuitBreaker
-from .columnar import ColumnarExtent
-from .executor import FederationExecutor
-from .metrics import RuntimeMetrics
-from .policy import RuntimePolicy
 from .transport import (
     AgentTransport,
-    BatchScanRequest,
-    BatchScanResult,
     DelegatingTransport,
     InProcessTransport,
     Scannable,
 )
 
 __all__ = [
-    "MultiprocessFederationExecutor",
     "ProcessPoolTransport",
     "build_worker_spec",
+    "find_hop",
     "wrap_multiprocess",
 ]
 
@@ -287,27 +282,13 @@ def _worker_initialize(spec: WorkerSpec) -> None:
     _WORKER_TRANSPORT = InProcessTransport(agents, schema_host)
 
 
-def _encode_payload(request: Scannable, value: Any) -> Any:
-    if isinstance(request, BatchScanRequest):
-        assert isinstance(value, BatchScanResult)
-        return BatchScanResult(
-            tuple(
-                _encode_payload(granule, granule_value)
-                for granule, granule_value in zip(request.requests, value.values)
-            )
-        )
-    if request.op in ("extent", "direct_extent"):
-        return ColumnarExtent.from_instances(value)
-    return value
-
-
 def _worker_scan(request: Scannable) -> Any:
-    """One scan inside a worker: perform, then encode columnar."""
+    """One scan inside a worker; the reply pickles back as it is."""
     transport = _WORKER_TRANSPORT
     if transport is None:  # pragma: no cover - initializer always ran
         raise TransportError("worker process was never initialized")
     try:
-        return _encode_payload(request, transport.perform(request))
+        return transport.perform(request)
     except BaseException as error:  # noqa: BLE001 - must cross pickle boundary
         raise TransportError(
             f"worker scan failed ({request.describe()}): "
@@ -335,7 +316,10 @@ class ProcessPoolTransport(DelegatingTransport, AgentTransport):
         mp_context: Optional[multiprocessing.context.BaseContext] = None,
     ) -> None:
         super().__init__(inner)
-        self._registry = _find_in_process(inner)
+        registry = find_hop(inner, InProcessTransport)
+        if registry is None:
+            raise RuntimeFederationError(_NO_REGISTRY)
+        self._registry = registry
         self._workers = max(1, int(workers))
         # spawn unconditionally: matches macOS/Windows semantics and
         # never inherits the parent's locks mid-flight
@@ -406,17 +390,26 @@ class ProcessPoolTransport(DelegatingTransport, AgentTransport):
                 self._pool = None
 
 
-def _find_in_process(transport: Any) -> InProcessTransport:
-    """The innermost in-process registry of a transport chain."""
+_Hop = TypeVar("_Hop")
+
+
+def _hops(transport: Any) -> Iterator[Any]:
+    """The hops of a transport chain, outermost first."""
     hop = transport
     while hop is not None:
-        if isinstance(hop, InProcessTransport):
-            return hop
+        yield hop
         hop = getattr(hop, "_inner", None)
-    raise RuntimeFederationError(
-        "multiprocess mode needs an in-process agent registry at the "
-        "bottom of the transport chain to bootstrap its workers"
-    )
+
+
+def find_hop(transport: Any, kind: Type[_Hop]) -> Optional[_Hop]:
+    """The outermost hop of *transport*'s chain that is a *kind*, or None."""
+    return next((hop for hop in _hops(transport) if isinstance(hop, kind)), None)
+
+
+_NO_REGISTRY = (
+    "multiprocess mode needs an in-process agent registry at the "
+    "bottom of the transport chain to bootstrap its workers"
+)
 
 
 def wrap_multiprocess(
@@ -431,69 +424,15 @@ def wrap_multiprocess(
     Idempotent: a chain that already dispatches to a pool is returned
     unchanged.
     """
-    hop: Any = transport
-    while hop is not None:
+    outer: Any = None
+    for hop in _hops(transport):
         if isinstance(hop, ProcessPoolTransport):
             return transport
-        hop = getattr(hop, "_inner", None)
-    if isinstance(transport, InProcessTransport):
-        return ProcessPoolTransport(transport, workers=workers)
-    hop = transport
-    while True:
-        inner = getattr(hop, "_inner", None)
-        if inner is None:
-            raise RuntimeFederationError(
-                "multiprocess mode needs an in-process agent registry at "
-                "the bottom of the transport chain to bootstrap its workers"
-            )
-        if isinstance(inner, InProcessTransport):
-            hop._inner = ProcessPoolTransport(inner, workers=workers)
+        if isinstance(hop, InProcessTransport):
+            pool = ProcessPoolTransport(hop, workers=workers)
+            if outer is None:
+                return pool
+            outer._inner = pool
             return transport
-        hop = inner
-
-
-def _find_pool(transport: Any) -> ProcessPoolTransport:
-    hop = transport
-    while hop is not None:
-        if isinstance(hop, ProcessPoolTransport):
-            return hop
-        hop = getattr(hop, "_inner", None)
-    raise RuntimeFederationError(
-        "no ProcessPoolTransport in the transport chain; wrap it with "
-        "wrap_multiprocess() first"
-    )
-
-
-class MultiprocessFederationExecutor(FederationExecutor):
-    """The threaded executor's failure model over a worker-process pool.
-
-    Retries, backoff, per-call deadlines and the circuit breaker are
-    inherited unchanged — the pool hop raises the same
-    :class:`~repro.errors.TransportError` taxonomy the simulated
-    network does.  The only override is the decode boundary: columnar
-    payloads become instance lists exactly once, after shard merges
-    have folded the arrays.
-    """
-
-    def __init__(
-        self,
-        transport: AgentTransport,
-        policy: Optional[RuntimePolicy] = None,
-        metrics: Optional[RuntimeMetrics] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        super().__init__(transport, policy, metrics, breaker, sleep)
-        self._pool_transport = _find_pool(transport)
-
-    def _decode(self, value: Any) -> Any:
-        if isinstance(value, ColumnarExtent):
-            return value.to_instances()
-        if isinstance(value, BatchScanResult):
-            return BatchScanResult(
-                tuple(self._decode(granule_value) for granule_value in value.values)
-            )
-        return value
-
-    def close(self) -> None:
-        self._pool_transport.close()
+        outer = hop
+    raise RuntimeFederationError(_NO_REGISTRY)

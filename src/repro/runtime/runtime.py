@@ -22,14 +22,14 @@ attempt loop of :mod:`~repro.runtime.executor`, stepped by two drivers.
 :class:`~repro.runtime.async_executor.AsyncFederationExecutor`, so
 thousands of slow agents cost timers instead of threads;
 ``mode="multiprocess"`` keeps the threaded driver but ships shard scans
-to ``spawn``-ed worker processes via
-:class:`~repro.runtime.mp_executor.MultiprocessFederationExecutor`,
-exchanging :class:`~repro.runtime.columnar.ColumnarExtent` payloads so
-CPU-bound per-item work escapes the GIL.  All modes feed the same
+to ``spawn``-ed worker processes through the
+:class:`~repro.runtime.mp_executor.ProcessPoolTransport` spliced into
+the transport chain, so CPU-bound per-item work escapes the GIL; the
+workers answer in pickled instance lists.  All modes feed the same
 :class:`~repro.runtime.metrics.RuntimeMetrics` and
-:class:`~repro.runtime.cache.ExtentCache` (multiprocess granules are
-decoded before they are cached, under unchanged keys), so ``--stats``
-output and cache behaviour are identical across modes.
+:class:`~repro.runtime.cache.ExtentCache` with the same values under
+the same keys, so ``--stats`` output and cache behaviour are identical
+across modes.
 
 Failure policy: ``PARTIAL`` serves what survived (missing extents come
 back empty) and records a warning per failure; ``ERROR`` raises
@@ -89,7 +89,7 @@ from .breaker import CircuitBreaker
 from .cache import MISS, EntryVersion, ExtentCache
 from .executor import FederationExecutor, ScanExecutor, ScanOutcome
 from .metrics import RuntimeMetrics, RuntimeStats
-from .mp_executor import MultiprocessFederationExecutor, wrap_multiprocess
+from .mp_executor import ProcessPoolTransport, find_hop, wrap_multiprocess
 from .persistence import PersistentExtentStore
 from .policy import FailurePolicy, RuntimePolicy
 from .sharding import ShardPlan, ShardedOutcome, merge_shard_values
@@ -126,8 +126,8 @@ class FederationRuntime:
 
         *mode* picks the engine: ``"threaded"`` (thread-pool fan-out),
         ``"async"`` (one event loop multiplexes every in-flight scan) or
-        ``"multiprocess"`` (shard scans in ``spawn``-ed workers
-        exchanging columnar extents).  *shard_plan* — a
+        ``"multiprocess"`` (shard scans in ``spawn``-ed workers that
+        answer in pickled instance lists).  *shard_plan* — a
         :class:`~repro.runtime.sharding.ShardPlan` or a bare count —
         scatters every extent scan across N shard endpoints per agent.
         *cache_path* spills the extent cache to a sqlite file and
@@ -172,7 +172,7 @@ class FederationRuntime:
             self.metrics.incr("cache_restores", cache.restored)
         # explicit None test: an empty ExtentCache has len() == 0 and is
         # falsy, so `cache or ExtentCache()` would drop a persistent one
-        self.cache = cache if cache is not None else ExtentCache()
+        self.cache = cache if cache is not None else ExtentCache(metrics=self.metrics)
         self.executor: ScanExecutor
         if mode == "async":
             assert isinstance(transport, AsyncAgentTransport)
@@ -182,20 +182,15 @@ class FederationRuntime:
             self.executor = AsyncFederationExecutor(
                 transport, self.policy, self.metrics, breaker, runner=loop
             )
-        elif mode == "multiprocess":
-            assert isinstance(transport, AgentTransport)
-            # splice the worker pool under any parent-side wrappers
-            # (fault simulators keep observing every dispatch), then
-            # decode columnar payloads at the executor boundary
-            transport = wrap_multiprocess(
-                transport, workers=self.policy.max_workers
-            )
-            self.transport = transport
-            self.executor = MultiprocessFederationExecutor(
-                transport, self.policy, self.metrics, breaker
-            )
         else:
             assert isinstance(transport, AgentTransport)
+            if mode == "multiprocess":
+                # splice the worker pool under any parent-side wrappers,
+                # so fault simulators keep observing every dispatch
+                transport = wrap_multiprocess(
+                    transport, workers=self.policy.max_workers
+                )
+                self.transport = transport
             self.executor = FederationExecutor(
                 transport, self.policy, self.metrics, breaker
             )
@@ -430,8 +425,7 @@ class FederationRuntime:
         of this request's ``(agent, schema)`` before the freshness
         check, so a single-row write patches instead of forcing rescans.
         Un-patchable variants are individually evicted and accounted in
-        ``fallback_invalidations`` — never a full generation bump; lifted
-        slices dropped along the way count in ``lift_slices_dropped``."""
+        ``fallback_invalidations`` — never a full generation bump."""
         outcome = self.cache.apply_deltas(
             request.agent,
             request.schema,
@@ -442,8 +436,6 @@ class FederationRuntime:
             self.metrics.incr("deltas_applied", outcome.deltas_applied)
         if outcome.granules_patched:
             self.metrics.incr("granules_patched", outcome.granules_patched)
-        if outcome.lift_slices_dropped:
-            self.metrics.incr("lift_slices_dropped", outcome.lift_slices_dropped)
         for description, _reason in outcome.fallbacks:
             self.metrics.record("fallback_invalidations", description)
 
@@ -490,8 +482,9 @@ class FederationRuntime:
         return self._closed
 
     def close(self) -> None:
-        """Release executor resources (the async mode's loop thread) and
-        the cache's persistent store, when one is attached.
+        """Release executor resources (the async mode's loop thread, the
+        multiprocess mode's worker pool) and the cache's persistent
+        store, when one is attached.
 
         Idempotent: every exit path (success, error, signal handler) may
         call it, and double closes are no-ops — the CLI and the service
@@ -503,4 +496,8 @@ class FederationRuntime:
         closer = getattr(self.executor, "close", None)
         if closer is not None:
             closer()
+        if self.mode == "multiprocess":
+            pool = find_hop(self.transport, ProcessPoolTransport)
+            assert pool is not None
+            pool.close()
         self.cache.close()

@@ -38,7 +38,6 @@ import zlib
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import RuntimeFederationError, ShardMergeError
-from .columnar import ColumnarExtent, merge_columnar
 from .transport import ScanRequest
 
 #: plan kinds understood by :func:`shard_of_oid`
@@ -245,25 +244,18 @@ def merge_shard_values(op: str, slices: Sequence[Any]) -> Any:
     keyed and raises :class:`~repro.errors.ShardMergeError` — hashing
     the object itself would silently collapse distinct-but-equal facts.
 
-    When every slice is a :class:`~repro.runtime.columnar.ColumnarExtent`
-    (the multiprocess wire format) the fold happens at the array level
-    and the merged value stays columnar; the caller decodes once at the
-    end.  A mix of columnar and instance-list slices (warm cache next
-    to cold worker replies) decodes the columnar slices and merges
-    per-instance.
+    Every mode hands this fold the same instance lists: multiprocess
+    workers pickle theirs back as they are, and warm slices come from
+    the cache.
     """
     if op == "value_set":
         merged: set = set()
         for piece in slices:
             merged.update(piece)
         return merged
-    if slices and all(isinstance(piece, ColumnarExtent) for piece in slices):
-        return merge_columnar(slices)
     seen: set = set()
     result: List[Any] = []
     for piece in slices:
-        if isinstance(piece, ColumnarExtent):
-            piece = piece.to_instances()
         for instance in piece:
             oid = getattr(instance, "oid", _NO_OID)
             if oid is _NO_OID:

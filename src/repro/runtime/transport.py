@@ -239,10 +239,8 @@ def transfer_item_count(result: Any) -> int:
     Counts what actually crosses the wire: a batch is the sum of its
     granule payloads (a coalesced round-trip moves the same data as its
     granules would separately — it only pays latency once); ``None``
-    carries nothing; a payload advertising ``item_count`` (e.g. a
-    :class:`~repro.runtime.columnar.ColumnarExtent`) is priced by that
-    count even when it is not sized; only a genuinely opaque payload
-    falls back to one item.  Before this helper, any non-sized result —
+    carries nothing; only a genuinely opaque (unsized) payload falls
+    back to one item.  Before this helper, any non-sized result —
     including a whole batch value that failed ``len()`` — was silently
     priced as ``per_item * 1``, making coalesced round-trips look
     cheaper than the singleton scans they replaced.
@@ -251,9 +249,6 @@ def transfer_item_count(result: Any) -> int:
         return 0
     if isinstance(result, BatchScanResult):
         return sum(transfer_item_count(value) for value in result.values)
-    count = getattr(result, "item_count", None)
-    if count is not None:
-        return int(count)
     try:
         return len(result)
     except TypeError:

@@ -72,7 +72,7 @@ class TenantConfig:
     #: manifest naming sqlite/CSV/JSON sources (alternative to *demo*)
     source_dir: Optional[str] = None
     #: execution engine: ``threaded``, ``async`` (shared loop) or
-    #: ``multiprocess`` (spawn-based worker pool, columnar extents)
+    #: ``multiprocess`` (spawn-based worker pool, pickled instance lists)
     mode: str = "async"
     max_inflight: int = 8
     scan_inflight: int = 64

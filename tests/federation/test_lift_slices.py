@@ -150,6 +150,23 @@ class TestSliceLifetime:
         assert federation.counter("lift_slices_built") == 1  # only the patched one
         federation.assert_matches()
 
+    def test_invalidation_and_generation_bumps_count_their_drops(self, federation):
+        query = "enrollment(course='course1') -> mark, person_ssn"
+
+        def dropped():
+            return federation.runtime.stats().counter("lift_slices_dropped")
+
+        federation.runtime.invalidate()  # the fixture's warm-up slices
+        federation.fsm.query(query)  # one slice
+        before = dropped()
+        federation.runtime.invalidate()
+        assert dropped() == before + 1
+        federation.fsm.query(query)
+        assert federation.counter("lift_slices_built") == 1
+        federation.runtime.bump_generation()
+        assert dropped() == before + 2
+        federation.assert_matches()
+
     def test_explicit_invalidation(self, federation):
         dropped = federation.runtime.invalidate(schema="university", class_name="person")
         assert dropped == 1

@@ -16,39 +16,6 @@ def dl(head, *body) -> DatalogRule:
     return DatalogRule(head, tuple(body))
 
 
-class TestFactStoreIndex:
-    def test_facts_at_position(self):
-        store = facts(p=[(1, "a"), (1, "b"), (2, "a")])
-        assert store.facts_at("p", 0, 1) == {(1, "a"), (1, "b")}
-        assert store.facts_at("p", 1, "a") == {(1, "a"), (2, "a")}
-        assert store.facts_at("p", 0, 99) == set()
-
-    def test_candidates_picks_tightest_bucket(self):
-        store = facts(p=[(1, "a"), (1, "b"), (2, "a")])
-        assert store.candidates("p", [(0, 1), (1, "b")]) == {(1, "b")}
-
-    def test_candidates_without_bindings_is_full_set(self):
-        store = facts(p=[(1, "a"), (2, "b")])
-        assert len(store.candidates("p", [])) == 2
-
-    def test_candidates_empty_on_impossible_binding(self):
-        store = facts(p=[(1, "a")])
-        assert store.candidates("p", [(0, 42)]) == set()
-
-    def test_copy_preserves_index(self):
-        store = facts(p=[(1, "a")])
-        clone = store.copy()
-        store.add("p", (2, "b"))
-        assert clone.facts_at("p", 0, 1) == {(1, "a")}
-        assert clone.facts_at("p", 0, 2) == set()
-
-    def test_merge_rebuilds_index(self):
-        left = facts(p=[(1, "a")])
-        right = facts(p=[(2, "b")])
-        left.merge(right)
-        assert left.facts_at("p", 0, 2) == {(2, "b")}
-
-
 class TestJoinOrdering:
     def test_result_independent_of_body_order(self):
         store = facts(

@@ -4,10 +4,12 @@ import pytest
 
 from repro.federation import FSMAgent
 from repro.model import ClassDef, ObjectDatabase, Schema
+from repro.logic import FactStore
 from repro.runtime import (
     ExtentCache,
     FederationRuntime,
     MISS,
+    RuntimeMetrics,
     RuntimePolicy,
     ScanRequest,
     ShardPlan,
@@ -23,6 +25,49 @@ def runtime():
     agent = FSMAgent("a1")
     agent.host_object_database(database)
     return FederationRuntime(agents={"a1": agent}), agent, database
+
+
+class TestDroppedSliceCount:
+    """Every path that forgets an entry's lifted slices counts one
+    ``lift_slices_dropped`` per slice map."""
+
+    @staticmethod
+    def _warm(cache, request, context="lift", source_generation=1):
+        version = cache.put(request, [1], source_generation=source_generation)
+        cache.attach_slice(version, context, "slice", FactStore())
+        return version
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda cache, request: cache.put(request, [2], source_generation=1),
+            lambda cache, request: cache.lookup(request, source_generation=2),
+            lambda cache, request: cache.invalidate(schema="S1"),
+            lambda cache, request: cache.clear(),
+            lambda cache, request: cache.bump_generation(),
+        ],
+        ids=["put", "stale_lookup", "invalidate", "clear", "bump_generation"],
+    )
+    def test_each_drop_counts_once(self, drop):
+        metrics = RuntimeMetrics()
+        cache = ExtentCache(metrics=metrics)
+        request = ScanRequest("a1", "S1", "person")
+        self._warm(cache, request)
+        drop(cache, request)
+        assert metrics.snapshot().counter("lift_slices_dropped") == 1
+        drop(cache, request)  # nothing lifted is left to drop
+        assert metrics.snapshot().counter("lift_slices_dropped") == 1
+
+    def test_a_new_lift_context_drops_the_old_slices(self):
+        metrics = RuntimeMetrics()
+        cache = ExtentCache(metrics=metrics)
+        request = ScanRequest("a1", "S1", "person")
+        version = self._warm(cache, request, context="before")
+        cache.attach_slice(version, "before", "other", FactStore())
+        assert metrics.snapshot().counter("lift_slices_dropped") == 0
+        cache.attach_slice(version, "after", "slice", FactStore())
+        assert metrics.snapshot().counter("lift_slices_dropped") == 1
+        assert cache.slice(version, "before", "slice") is None
 
 
 class TestCachePrimitives:

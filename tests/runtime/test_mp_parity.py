@@ -2,11 +2,13 @@
 
 ``mode="multiprocess"`` re-routes shard extent scans through a
 spawn-based :class:`ProcessPoolExecutor` whose workers rebuild every
-hosted store from a picklable spec and answer in columnar arrays; these
-tests pin that against the threaded and async twins the answers are
-byte-identical — sharded and unsharded, cold and warm — that component
-writes rebuild stale worker snapshots, and that disk-backed source
-adapters rehydrate inside workers from their manifest description.
+hosted store from a picklable spec and answer in pickled instance
+lists; these tests pin that against the threaded and async twins the
+answers are byte-identical — sharded and unsharded, cold and warm, with
+§3 data mappings, NULLs and OID references in the extents — that
+component writes rebuild stale worker snapshots, and that disk-backed
+source adapters rehydrate inside workers from their manifest
+description.
 
 Pools here are deliberately small (two workers): the point is parity,
 not throughput — E-R9 in ``benchmarks/`` owns the scaling claim.
@@ -24,8 +26,15 @@ from repro.runtime import (
     SimulatedNetworkTransport,
     wrap_multiprocess,
 )
+from repro.workloads import build_memory_databases, generate_source_federation, source_fsm
 
 QUERY = "person0() -> ssn#"
+
+
+def _rows_key(rows):
+    return sorted(
+        sorted((name, repr(value)) for name, value in row.items()) for row in rows
+    )
 
 
 def _policy():
@@ -60,7 +69,7 @@ class TestMultiprocessAnswerParity:
     ):
         fsm = cluster_builder(schemas=3, per_class=4)
         runtime = fsm.use_runtime(_policy(), mode="multiprocess")
-        pool = runtime.executor._pool_transport
+        pool = runtime.transport
         try:
             before = _answers(fsm.query(QUERY))
             assert pool.rebuilds == 1
@@ -80,11 +89,75 @@ class TestMultiprocessAnswerParity:
     def test_closed_runtime_refuses_dispatch(self, cluster_builder):
         fsm = cluster_builder(schemas=2, per_class=2)
         runtime = fsm.use_runtime(_policy(), mode="multiprocess")
-        pool = runtime.executor._pool_transport
+        pool = runtime.transport
         assert _answers(fsm.query(QUERY))
         runtime.close()
         with pytest.raises(TransportError, match="closed"):
             pool.perform(ScanRequest("agent1", "S1", "person0"))
+
+
+class TestSourceFederationParity:
+    """Generated sources carry §3 data mappings (fuzzy and linear level
+    encodings, a default fill for NULL names), NULL column values and
+    OID references to lookup and person rows; every one must cross the
+    worker pickles unchanged."""
+
+    QUERIES = (
+        "person() -> ssn, name, level",
+        "person() -> ssn, dept",
+        "enrollment() -> course, mark, person_ssn",
+        "visit() -> day, cost, person_ssn",
+    )
+    EXTENTS = (
+        ("university", "person"),
+        ("university", "enrollment"),
+        ("hospital", "visit"),
+    )
+
+    @staticmethod
+    def _dataset():
+        dataset = generate_source_federation(
+            people_per_schema=8, records_per_person=1, seed=5
+        )
+        # NULL values the mappings do not fill: kept, never dropped
+        dataset.rows["university"]["enrollment"][0]["mark"] = None
+        dataset.rows["hospital"]["visit"][1]["day"] = None
+        return dataset
+
+    def _observe(self, plan, mode):
+        dataset = self._dataset()
+        fsm = source_fsm(build_memory_databases(dataset), dataset.assertions)
+        fsm.integrate_all()
+        runtime = fsm.use_runtime(_policy(), mode=mode, shard_plan=plan)
+        try:
+            rows = [_rows_key(fsm.query(query)) for query in self.QUERIES]
+            extents = [
+                sorted(
+                    (
+                        repr(instance.oid),
+                        instance.class_name,
+                        repr(sorted(instance.attributes.items())),
+                        repr(sorted(instance.aggregations.items())),
+                    )
+                    for instance in runtime.direct_extent(schema, class_name)
+                )
+                for schema, class_name in self.EXTENTS
+            ]
+        finally:
+            runtime.close()
+        return rows, extents
+
+    @pytest.mark.parametrize("plan", [None, ShardPlan(2)])
+    def test_mapped_rows_and_extents_match_threaded(self, plan):
+        observed = self._observe(plan, "multiprocess")
+        assert observed == self._observe(plan, "threaded")
+        assert observed == self._observe(None, "threaded")
+        rows, extents = observed
+        assert all(rows)  # a vacuous parity proves nothing
+        flat = repr(rows) + repr(extents)
+        assert "'unknown'" in flat  # a default-filled NULL name
+        assert "('mark', None)" in flat and "('day', None)" in flat
+        assert "relation='department'" in flat  # an OID reference
 
 
 class TestWorkerRehydration:

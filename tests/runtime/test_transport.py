@@ -162,12 +162,11 @@ class TestSideTableBounds:
 class TestPerItemTransferPricing:
     """Regression: per-item transfer pricing used ``len(result)`` with a
     blanket ``per_item * 1`` fallback, so any non-sized payload — a
-    columnar reply advertising only ``item_count``, or an absent
-    (``None``) granule value inside a batch — was priced as exactly one
-    item no matter how many rows it carried.  Pricing now goes through
-    :func:`transfer_item_count`: batches charge the total items their
-    granules carry, ``None`` carries nothing, and non-sized payloads
-    charge their ``item_count``."""
+    whole batch value, or an absent (``None``) granule value inside a
+    batch — was priced as exactly one item no matter how many rows it
+    carried.  Pricing now goes through :func:`transfer_item_count`:
+    batches charge the total items their granules carry and ``None``
+    carries nothing."""
 
     @staticmethod
     def _simulated(agents, naps):
@@ -208,56 +207,6 @@ class TestPerItemTransferPricing:
             simulated.perform(granule)
         assert batched == sum(naps)
 
-    def test_non_sized_payload_charges_its_item_count(self, agents):
-        from repro.runtime.columnar import ColumnarExtent
-        from repro.runtime.transport import transfer_item_count
-
-        class ColumnarAgent:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def perform(self, request):
-                return ColumnarExtent.from_instances(self._inner.perform(request))
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-        naps = []
-        simulated = SimulatedNetworkTransport(
-            ColumnarAgent(InProcessTransport(agents)),
-            FaultProfile(per_item=1.0),
-            clock=naps.append,
-        )
-        result = simulated.perform(ScanRequest("a1", "S1", "person"))
-        assert transfer_item_count(result) == 2
-        assert naps == [2.0]
-
-    def test_item_count_payload_without_len_is_not_priced_as_one(self, agents):
-        # the pre-fix failing case: no __len__, so the fallback charged
-        # per_item * 1 for an arbitrarily large reply
-        class Wire:
-            def __init__(self, items):
-                self.item_count = items
-
-        class Encoding:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def perform(self, request):
-                return Wire(len(self._inner.perform(request)) * 500)
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-        naps = []
-        simulated = SimulatedNetworkTransport(
-            Encoding(InProcessTransport(agents)),
-            FaultProfile(per_item=0.001),
-            clock=naps.append,
-        )
-        simulated.perform(ScanRequest("a1", "S1", "person"))
-        assert naps == [pytest.approx(1.0)]  # 1000 items, not 1
-
     def test_changes_stays_unpriced_control_plane(self, agents):
         naps = []
         simulated = self._simulated(agents, naps)
@@ -271,16 +220,12 @@ class TestPerItemTransferPricing:
         from repro.runtime import BatchScanResult
         from repro.runtime.transport import transfer_item_count
 
-        class Counted:
-            item_count = 7
-
         class Opaque:
             pass
 
         assert transfer_item_count(None) == 0
         assert transfer_item_count([1, 2, 3]) == 3
         assert transfer_item_count({"a", "b"}) == 2
-        assert transfer_item_count(Counted()) == 7
         assert transfer_item_count(Opaque()) == 1
         nested = BatchScanResult(([1, 2], BatchScanResult(({"x"}, None))))
         assert transfer_item_count(nested) == 3
