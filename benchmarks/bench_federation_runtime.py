@@ -64,7 +64,11 @@ the component stores: one patching stale granules in place from the
 delta feed (``deltas=True``), one on the version-mismatch full-rescan
 baseline (``deltas=False``).  The patched side must pay strictly fewer
 agent scans per query than the baseline while returning byte-identical
-answers — the incremental-invalidation subsystem's whole contract.
+answers — the incremental-invalidation subsystem's whole contract.  The
+patched side's ``lift_slices_built`` / ``lift_slices_patched`` /
+``lift_slices_dropped`` over the mixed-load window show each write
+patching the lifted slices of the extent it touched: with no fallback
+invalidation in the window, no slice is built again.
 
 **E-R9** (3 heterogeneous component schemas, memory-backed, **no**
 injected latency, cache disabled, 8-way shard plan): the CPU-bound
@@ -690,7 +694,8 @@ def run_deltas():
         # both sides pay the same cold scans; price only the mixed load
         fsm_on.query(DELTA_QUERY)
         fsm_off.query(DELTA_QUERY)
-        base_on = runtime_on.stats().counter("agent_scans")
+        window_on = runtime_on.stats()
+        base_on = window_on.counter("agent_scans")
         base_off = runtime_off.stats().counter("agent_scans")
 
         reads = writes = 0
@@ -713,6 +718,7 @@ def run_deltas():
 
         stats_on = runtime_on.stats()
         stats_off = runtime_off.stats()
+        window_on = stats_on - window_on
         patched_scans = stats_on.counter("agent_scans") - base_on
         bump_scans = stats_off.counter("agent_scans") - base_off
 
@@ -736,6 +742,11 @@ def run_deltas():
         "granules_patched": stats_on.counter("granules_patched"),
         "deltas_applied": stats_on.counter("deltas_applied"),
         "fallback_invalidations": stats_on.counter("fallback_invalidations"),
+        # the patched side's lifted slices in the mixed-load window: a
+        # write patches the slices of the extent it touches
+        "lift_slices_built": window_on.counter("lift_slices_built"),
+        "lift_slices_patched": window_on.counter("lift_slices_patched"),
+        "lift_slices_dropped": window_on.counter("lift_slices_dropped"),
         "baseline_granules_patched": stats_off.counter("granules_patched"),
         "patched_read_ms": round(on_ms / reads, 3),
         "bump_read_ms": round(off_ms / reads, 3),
@@ -942,6 +953,12 @@ def test_runtime_latency(benchmark, report):
                 deltas["bump_read_ms"],
             ),
             ("granules patched", deltas["granules_patched"], 0),
+            (
+                "lift slices built / patched / dropped",
+                f"{deltas['lift_slices_built']} / {deltas['lift_slices_patched']}"
+                f" / {deltas['lift_slices_dropped']}",
+                "",
+            ),
             ("answers byte-identical", deltas["answers_match"], ""),
         ],
     )

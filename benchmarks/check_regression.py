@@ -35,7 +35,10 @@ federation runtime's load-bearing numbers regress:
   agent scans not strictly below the generation-bump baseline's, any
   granule patched on the baseline side, zero granules patched on the
   delta side, or answers diverging — incremental invalidation stopped
-  beating rescans or (worse) stopped matching them;
+  beating rescans or (worse) stopped matching them; and any lifted
+  slice built on the delta side in the mixed-load window while
+  ``fallback_invalidations`` is 0 — a write relifted a whole slice
+  instead of patching it;
 * in the E-R9 multiprocess section, answers not byte-identical to the
   threaded run (always fatal), or — CPU-gated, since process pools
   cannot beat the GIL without cores to scale onto — the multiprocess
@@ -293,6 +296,12 @@ def check(
             problems.append(
                 "deltas answers_match is false (the patched run diverged "
                 "from the rescan baseline's answers)"
+            )
+        built = deltas.get("lift_slices_built", 0)
+        if deltas.get("fallback_invalidations", 0) == 0 and built != 0:
+            problems.append(
+                f"deltas lift_slices_built is {built} with no fallback "
+                "invalidation (a write relifted a slice instead of patching it)"
             )
 
     mp = fresh.get("mp", {})

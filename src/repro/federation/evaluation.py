@@ -102,6 +102,9 @@ def lift_facts(
     on that granule's cache entry and reused while the entry is served
     (:meth:`~repro.runtime.runtime.FederationRuntime.lift_slice`): the
     result is then a :class:`FactStore` layered over the shared slices.
+    The entry also keeps the slice's lifter, so a delta patch to the
+    extent publishes a patched copy of the slice by lifting only the
+    instances it displaced and the ones it wrote.
     Slices are keyed by *integrated*'s identity and the *mappings*
     registry's identity and version, so a re-integration or a
     registration lifts afresh.
@@ -157,16 +160,21 @@ def lift_facts(
                 database,
                 schema_name,
                 class_name,
-                extent,
                 mappings,
             )
             version = versions.get((schema_name, class_name))
             if version is None:
-                lift(unsliced)
+                lift(extent, unsliced)
             else:
                 assert runtime is not None
                 slices.append(
-                    runtime.lift_slice(version, context, integrated_class.name, lift)
+                    runtime.lift_slice(
+                        version,
+                        context,
+                        integrated_class.name,
+                        functools.partial(lift, extent),
+                        lift,
+                    )
                 )
 
     store = FactStore(*slices, unsliced) if slices else unsliced
@@ -181,12 +189,17 @@ def _lift_slice(
     database: ComponentStore,
     schema_name: str,
     class_name: str,
-    extent: Sequence[Any],
     mappings: MappingRegistry,
+    extent: Sequence[Any],
     store: Optional[FactStore] = None,
 ) -> FactStore:
     """Lift one ``(integrated class, schema, local class)`` slice of
-    *extent* into *store* (a new one by default), and return it."""
+    *extent* into *store* (a new one by default), and return it.
+
+    Every fact lifted from an instance carries its OID first, so the
+    facts of different instances never overlap: lifting any sub-list of
+    an extent yields exactly those instances' share of the slice, which
+    is what a delta patch removes and re-adds."""
     if store is None:
         store = FactStore()
     local_class = database.schema.effective_class(class_name)

@@ -88,6 +88,45 @@ def _insert(index: Dict[Any, Bucket], value: Any, values: FactTuple) -> None:
         index[value] = {bucket, values}
 
 
+def _patched_index(
+    index: Dict[Any, Bucket],
+    position: int,
+    gone: Set[FactTuple],
+    new: Set[FactTuple],
+) -> Dict[Any, Bucket]:
+    """A copy of one predicate's *index* at *position* without the facts
+    *gone* and with the facts *new*; only the buckets they touch are
+    rebuilt (as new objects), every other bucket is shared."""
+    changed: Dict[Any, Set[FactTuple]] = {}
+
+    def rebuilt(value: Any) -> Set[FactTuple]:
+        if value not in changed:
+            bucket = index.get(value)
+            if bucket is None:
+                changed[value] = set()
+            elif isinstance(bucket, set):
+                changed[value] = set(bucket)
+            else:
+                changed[value] = {bucket}
+        return changed[value]
+
+    for values in gone:
+        if position < len(values):
+            rebuilt(values[position]).discard(values)
+    for values in new:
+        if position < len(values):
+            rebuilt(values[position]).add(values)
+    patched = dict(index)
+    for value, members in changed.items():
+        if not members:
+            patched.pop(value, None)
+        elif len(members) == 1:
+            patched[value] = next(iter(members))
+        else:
+            patched[value] = members
+    return patched
+
+
 def _bucket(
     indexes: Sequence[Dict[Any, Bucket]], value: Any
 ) -> Union[Set[FactTuple], Tuple[FactTuple, ...]]:
@@ -135,7 +174,9 @@ class FactStore:
     predicates are probed by ``oid`` once the object variable is bound).
     A bucket holding one fact is kept as the bare fact tuple.  An index
     is published by a single assignment, so threads probing one shared
-    read-only store may race to build it and still agree.
+    read-only store may race to build it and still agree.  A shared
+    store is changed only by :meth:`patched`, which returns a new store
+    and leaves this one as it was.
     """
 
     def __init__(self, *parents: "FactStore") -> None:
@@ -197,6 +238,42 @@ class FactStore:
                 if index is not None:
                     _insert(index, value, values)
         return True
+
+    def patched(self, removed: "FactStore", added: "FactStore") -> "FactStore":
+        """A new flat store holding ``(self − removed) ∪ added``.
+
+        Copy-on-write: predicates the patch leaves alone share this
+        store's fact sets and index dicts.  A changed predicate gets a
+        copied set, and each index built here a copied dict in which
+        only the buckets of changed facts are replaced.  This store is
+        never written, so readers holding it are unaffected.  Flat
+        stores only; *removed* and *added* are read as flat too.
+        """
+        assert not self._parents, "patched() copies flat stores only"
+        store = FactStore()
+        store._facts = dict(self._facts)
+        # a snapshot: another reader may publish an index meanwhile
+        store._index = dict(self._index)
+        for predicate in {*removed._facts, *added._facts}:
+            old = self._facts.get(predicate, set())
+            incoming = added._facts.get(predicate, set())
+            gone = (old & removed._facts.get(predicate, set())) - incoming
+            new = incoming - old
+            if not gone and not new:
+                continue
+            facts = (old - gone) | new
+            if facts:
+                store._facts[predicate] = facts
+            else:
+                del store._facts[predicate]
+            for key, index in list(store._index.items()):
+                if key[0] != predicate:
+                    continue
+                if facts:
+                    store._index[key] = _patched_index(index, key[1], gone, new)
+                else:
+                    del store._index[key]
+        return store
 
     def facts(self, predicate: str) -> Set[FactTuple]:
         holders = self.holders(predicate)

@@ -31,12 +31,27 @@ An entry may also carry **lifted fact slices**: the read-only
 entry's value (:func:`~repro.federation.evaluation.lift_facts`), so a
 warm query does not lift the same granule again.  A caller reads the
 value together with an :class:`EntryVersion`; a slice is served only
-for that exact entry version, attached only while the entry is still
-the one served at that version, and dropped on every path that
-replaces, patches, evicts or invalidates the entry, or lifts it again
-under a new context; with *metrics* attached every drop counts in
-``lift_slices_dropped``.  Slices live in memory only and never reach
-the persistent tier.
+for that exact entry version, and attached only while the entry is
+still the one served at that version.
+
+Beside each slice the entry keeps its :data:`SliceLifter`.  When a
+delta chain patches the entry's extent, each slice is republished as a
+copy-on-write patched copy (:meth:`FactStore.patched
+<repro.logic.engine.FactStore.patched>`): the facts of the instances
+the replay displaced go, those of the touched OIDs' final instances
+come in.  Every lifted fact carries its instance's OID first, so this
+equals a fresh lift of the patched extent; the old slice is never
+written, so readers still holding it are unaffected.  With *metrics*
+attached each patched slice counts in ``lift_slices_patched``.
+
+The slices are dropped instead — one ``lift_slices_dropped`` per slice
+map — on every other path: a replacing :meth:`put`, a stale lookup,
+a fallback eviction (sequence gap, rescan marker, unpatchable chain),
+a patch of a variant that keeps no instances (value sets) or of a
+slice attached without a lifter, :meth:`invalidate`, :meth:`clear`,
+:meth:`bump_generation`, and a lift under a new mapping or schema
+context.  Slices live in memory only and never reach the persistent
+tier.
 """
 
 from __future__ import annotations
@@ -46,12 +61,14 @@ from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     ContextManager,
     Dict,
     Hashable,
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -59,6 +76,7 @@ from .deltas import (
     ChainFetcher,
     DeltaOutcome,
     DeltaUnpatchable,
+    ExtentPatch,
     chain_is_contiguous,
     describe_granule,
     patch_variant,
@@ -72,6 +90,11 @@ if TYPE_CHECKING:
 
 _MISS = object()
 
+#: lifts a list of one extent's instances into their share of one slice
+SliceLifter = Callable[[Sequence[Any]], "FactStore"]
+#: slice name -> (the slice, its lifter or None)
+_Slices = Dict[Hashable, Tuple["FactStore", Optional[SliceLifter]]]
+
 
 class _Entry:
     __slots__ = ("value", "cache_generation", "source_generation", "slices")
@@ -82,8 +105,8 @@ class _Entry:
         self.value = value
         self.cache_generation = cache_generation
         self.source_generation = source_generation
-        #: (lift context, slice name -> FactStore) lifted from this value
-        self.slices: Optional[Tuple[Hashable, Dict[Hashable, "FactStore"]]] = None
+        #: (lift context, slices) lifted from this value
+        self.slices: Optional[Tuple[Hashable, _Slices]] = None
 
 
 class EntryVersion(NamedTuple):
@@ -147,6 +170,31 @@ class ExtentCache:
             entry.slices = None
             if self._metrics is not None:
                 self._metrics.incr("lift_slices_dropped")
+
+    def _patch_slices(self, entry: _Entry, patch: Optional[ExtentPatch]) -> None:
+        """Republish *entry*'s slices as patched copies after a replay
+        that changed its value as *patch* reports (None: the value keeps
+        no instances).  A slice map that cannot be patched is dropped.
+        The caller holds the lock."""
+        if entry.slices is None:
+            return
+        context, slices = entry.slices
+        try:
+            patched: _Slices = {
+                name: (store.patched(lift(patch.displaced), lift(patch.final)), lift)
+                for name, (store, lift) in slices.items()
+                if patch is not None and lift is not None
+            }
+        except BaseException:
+            # the old slices no longer match the patched value
+            self._drop_slices(entry)
+            raise
+        if len(patched) < len(slices):  # a value set, or a slice without a lifter
+            self._drop_slices(entry)
+            return
+        entry.slices = (context, patched)
+        if self._metrics is not None:
+            self._metrics.incr("lift_slices_patched", len(slices))
 
     def _persistence_timer(self) -> ContextManager[None]:
         """Time store traffic under the metrics' ``persistence`` phase."""
@@ -248,7 +296,8 @@ class ExtentCache:
                 return None
             if entry.slices is None or entry.slices[0] != context:
                 return None
-            return entry.slices[1].get(name)
+            kept = entry.slices[1].get(name)
+            return kept[0] if kept is not None else None
 
     def attach_slice(
         self,
@@ -256,10 +305,13 @@ class ExtentCache:
         context: Hashable,
         name: Hashable,
         store: "FactStore",
+        lift: Optional[SliceLifter] = None,
     ) -> None:
         """Keep *store*, lifted from *version*'s value, on that entry —
         only while the entry is still the one served at that version.
-        Slices of another *context* are dropped."""
+        Slices of another *context* are dropped.  *lift* lifts any list
+        of the value's instances the way *store* was lifted; without
+        it a delta patch drops the slices instead of patching them."""
         with self._lock:
             entry = version.entry
             granule = self._granules.get(version.key)
@@ -273,7 +325,7 @@ class ExtentCache:
             if entry.slices is None or entry.slices[0] != context:
                 self._drop_slices(entry)
                 entry.slices = (context, {})
-            entry.slices[1][name] = store
+            entry.slices[1][name] = (store, lift)
 
     # ------------------------------------------------------------------
     # delta feeds (incremental invalidation)
@@ -347,16 +399,18 @@ class ExtentCache:
                         for record in delta.records
                         if record.relation == key[2]
                     ]
-                    if relevant:
-                        # the value changes: so would what is lifted from it
-                        self._drop_slices(entry)
                     try:
-                        patch_variant(entry.value, variant, relevant, shard_coord)
+                        patch = patch_variant(
+                            entry.value, variant, relevant, shard_coord
+                        )
                     except DeltaUnpatchable as reason:
                         self._evict_variant(key, granule, variant)
                         outcome.fallbacks.append((description, str(reason)))
                         continue
                     entry.source_generation = target_version
+                    if relevant:
+                        # the value changed: so does what is lifted from it
+                        self._patch_slices(entry, patch)
                     outcome.granules_patched += 1
                     if since not in used:
                         used.add(since)

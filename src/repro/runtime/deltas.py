@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: operations a delta record can describe.  ``rescan`` is the explicit
 #: un-patchable marker: the emitting adapter knows the relation changed
@@ -207,18 +207,30 @@ def _owned(oid: Any, shard_coord: Optional[Tuple[Any, ...]]) -> bool:
     return shard_of_oid(oid, of, kind, band) == index
 
 
+class ExtentPatch(NamedTuple):
+    """What replaying a chain onto an extent list touched."""
+
+    #: every instance the replay deleted or replaced, in replay order
+    displaced: List[Any]
+    #: the instances the touched OIDs hold after the replay
+    final: List[Any]
+
+
 def _patch_extent(
     value: List[Any],
     records: Sequence[DeltaRecord],
     shard_coord: Optional[Tuple[Any, ...]],
-) -> None:
-    """Replay *records* onto an extent list in place (storage order).
+) -> ExtentPatch:
+    """Replay *records* onto an extent list in place (storage order),
+    and report what the replay touched (:class:`ExtentPatch`).
 
     Inserts land at the tail — new rows carry the highest tuple numbers,
     which is exactly where a rescan would put them — deletes splice out,
     and updates replace in position, so a patched list stays ordered the
     way the adapter's scan orders it.
     """
+    displaced: List[Any] = []
+    final: Dict[Any, Any] = {}
     for record in records:
         if record.op == "rescan":
             raise DeltaUnpatchable("relation marked for rescan")
@@ -229,22 +241,22 @@ def _patch_extent(
             None,
         )
         owned = _owned(record.oid, shard_coord)
-        if record.op == "delete":
-            if position is not None:
-                del value[position]
-            continue
-        if not owned:
+        if record.op == "delete" or not owned:
             # an update cannot migrate an OID across shards (ownership is
             # a pure function of the OID), but stay defensive
             if position is not None:
-                del value[position]
+                displaced.append(value.pop(position))
+            final.pop(record.oid, None)
             continue
         if record.instance is None:
             raise DeltaUnpatchable(f"{record.op} record without an instance")
         if position is None:
             value.append(record.instance)
         else:
+            displaced.append(value[position])
             value[position] = record.instance
+        final[record.oid] = record.instance
+    return ExtentPatch(displaced, list(final.values()))
 
 
 def _patch_value_set(
@@ -284,19 +296,22 @@ def patch_variant(
     variant: Tuple[str, Optional[str]],
     records: Sequence[DeltaRecord],
     shard_coord: Optional[Tuple[Any, ...]] = None,
-) -> None:
+) -> Optional[ExtentPatch]:
     """Replay *records* onto one cached variant's value in place.
 
-    Raises :class:`DeltaUnpatchable` when the variant cannot absorb the
-    chain; the caller evicts that variant (and only that variant).
+    Returns what an extent variant's replay touched (see
+    :func:`_patch_extent`), or ``None`` for a value set, which keeps no
+    instances.  Raises :class:`DeltaUnpatchable` when the variant cannot
+    absorb the chain; the caller evicts that variant (and only that
+    variant).
     """
     op, attribute = variant
     if op in ("extent", "direct_extent"):
-        _patch_extent(value, records, shard_coord)
-    elif op == "value_set":
+        return _patch_extent(value, records, shard_coord)
+    if op == "value_set":
         _patch_value_set(value, records, attribute, shard_coord)
-    else:
-        raise DeltaUnpatchable(f"unknown cache variant {op!r}")
+        return None
+    raise DeltaUnpatchable(f"unknown cache variant {op!r}")
 
 
 def describe_granule(

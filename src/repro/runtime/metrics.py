@@ -35,11 +35,15 @@ Counter vocabulary (all monotonic):
                         delete) — targeted eviction, never a full bump
 ``lift_slices_built`` / ``lift_slices_reused``  lifted fact slices built
                         from a cached extent, or served from its entry
+``lift_slices_patched`` slices a delta chain republished as patched
+                        copies (lifting only the instances it touched)
+                        instead of dropping them
 ``lift_slices_dropped`` slice maps dropped with their cache entry's value:
-                        a replacing fill, a stale eviction, a patch or
-                        fallback eviction of a delta sync, an explicit
-                        invalidation or clear, a generation bump, or a
-                        re-lift under a new mapping/schema context
+                        a replacing fill, a stale eviction, a fallback
+                        eviction of a delta sync, a patch of a value set,
+                        an explicit invalidation or clear, a generation
+                        bump, or a re-lift under a new mapping/schema
+                        context
 
 Timer vocabulary includes the ``persistence`` phase: every persistent
 extent-store interaction (the warm-restart reload, spills on fill,

@@ -11,7 +11,8 @@ exposes the scan API the evaluation paths need —
 * :meth:`scan_extents` for the fact-lifting fan-out: all component
   extents a global query needs, fetched concurrently;
 * :meth:`lift_slice` to reuse the facts lifted from a cached extent
-  granule for as long as that granule's entry is served;
+  granule for as long as that granule's entry is served (a delta patch
+  of the entry patches them too);
 * :meth:`invalidate` / :meth:`bump_generation` for cache control;
 * :meth:`stats` for the observable autonomy / performance counters.
 
@@ -86,7 +87,7 @@ from ..model.instances import ObjectInstance
 from .async_executor import AsyncFederationExecutor, EventLoopThread
 from .async_transport import AsyncAgentTransport, AsyncTransportAdapter
 from .breaker import CircuitBreaker
-from .cache import MISS, EntryVersion, ExtentCache
+from .cache import MISS, EntryVersion, ExtentCache, SliceLifter
 from .executor import FederationExecutor, ScanExecutor, ScanOutcome
 from .metrics import RuntimeMetrics, RuntimeStats
 from .mp_executor import ProcessPoolTransport, find_hop, wrap_multiprocess
@@ -326,6 +327,7 @@ class FederationRuntime:
         context: Hashable,
         name: Hashable,
         build: Callable[[], "FactStore"],
+        lift: SliceLifter,
     ) -> "FactStore":
         """The facts lifted from one cached extent granule.
 
@@ -333,15 +335,19 @@ class FederationRuntime:
         lifted under *context* (counted in ``lift_slices_reused``);
         otherwise calls *build* — outside the cache lock, over the value
         read with *version* — and keeps the result on the entry if it
-        is still served at that version (``lift_slices_built``).  The
-        returned store is shared: callers only read it or layer over it.
+        is still served at that version (``lift_slices_built``).  *lift*
+        lifts any list of the extent's instances the way *build* lifts
+        all of them; the entry keeps it beside the slice, and a delta
+        patch uses it to publish a patched copy of the slice
+        (``lift_slices_patched``) instead of dropping it.  The returned
+        store is shared: callers only read it or layer over it.
         """
         store = self.cache.slice(version, context, name)
         if store is not None:
             self.metrics.incr("lift_slices_reused")
             return store
         store = build()
-        self.cache.attach_slice(version, context, name, store)
+        self.cache.attach_slice(version, context, name, store, lift)
         self.metrics.incr("lift_slices_built")
         return store
 

@@ -69,7 +69,9 @@ class Federation:
         self.reference_databases["university"].adapter.insert("enrollment", row)
 
     def update_level(self, number, level):
-        changes = {"level": level}
+        self.update_person(number, level=level)
+
+    def update_person(self, number, **changes):
         self.databases["university"].adapter.update_row("person", number, changes)
         self.reference_databases["university"].adapter.update_row(
             "person", number, changes
@@ -124,7 +126,8 @@ class TestSliceLifetime:
         federation.update_level(number=2, level=5)
         federation.fsm.query(QUERIES[1])
         assert federation.counter("granules_patched") >= 1
-        assert federation.counter("lift_slices_built") >= 1
+        assert federation.counter("lift_slices_patched") >= 1
+        assert federation.counter("lift_slices_built") == 0
         federation.assert_matches()
 
     def test_a_patch_keeps_the_slices_of_relations_it_does_not_touch(self, federation):
@@ -138,16 +141,18 @@ class TestSliceLifetime:
         federation.assert_matches()
 
     def test_dropped_slices_are_counted_and_reported(self, federation):
-        federation.update_level(number=2, level=5)
+        # a moved primary key re-resolves enrollment's references: the
+        # feed marks enrollment for rescan, a fallback that drops its slice
+        federation.update_person(number=2, ssn="university-moved")
         federation.fsm.query("enrollment() -> course, mark, person_ssn")
         stats = federation.fsm.last_query_stats
-        # the patch changed university's person extent: its slice goes
+        assert stats.counter("fallback_invalidations") == 1
         assert stats.counter("lift_slices_dropped") == 1
         assert "lift_slices_dropped    1" in stats.describe()  # CLI --stats
         assert stats_to_dict(stats)["counters"]["lift_slices_dropped"] == 1  # /stats
         federation.fsm.query(QUERIES[0])
         assert federation.counter("lift_slices_dropped") == 0
-        assert federation.counter("lift_slices_built") == 1  # only the patched one
+        assert federation.counter("lift_slices_built") == 0  # person's was patched
         federation.assert_matches()
 
     def test_invalidation_and_generation_bumps_count_their_drops(self, federation):

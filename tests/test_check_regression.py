@@ -392,6 +392,18 @@ class TestCheck:
             "diverged from the rescan baseline" in p for p in problems
         )
 
+    def test_delta_side_must_not_relift_slices_without_fallbacks(self):
+        doc = _healthy()
+        doc["deltas"].update(
+            lift_slices_built=0, lift_slices_patched=57, lift_slices_dropped=0
+        )
+        assert check_regression.check(doc) == []
+        doc["deltas"]["lift_slices_built"] = 2
+        problems = check_regression.check(doc)
+        assert any("lift_slices_built is 2 with no fallback" in p for p in problems)
+        doc["deltas"]["fallback_invalidations"] = 1  # a fallback may relift
+        assert check_regression.check(doc) == []
+
     def test_missing_mp_section_fails(self):
         doc = _healthy()
         del doc["mp"]
