@@ -8,7 +8,8 @@ databases — native object stores or relational databases wrapped through
 interface the FSM layer may use:
 
 * export of the (transformed) local schema;
-* extent / value-set / attribute scans of one class.
+* extent / value-set / attribute scans of one class — whole, or the
+  slice one shard endpoint owns (the store skips the rest).
 
 Every access is counted, so the autonomy property (the FSM never
 evaluates rules inside a component system, Appendix B) is testable.
@@ -17,7 +18,7 @@ evaluates rules inside a component system, Appendix B) is testable.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import RegistrationError
 from ..model.database import ObjectDatabase
@@ -26,6 +27,9 @@ from ..model.schema import Schema
 from ..model.store import ComponentStore
 from .relational import RelationalDatabase
 from .transform import materialize_view
+
+if TYPE_CHECKING:
+    from ..runtime.sharding import ShardSpec
 
 
 class FSMAgent:
@@ -90,16 +94,25 @@ class FSMAgent:
         """Direct access for in-process tooling (examples, tests)."""
         return self._database(schema_name)
 
-    def fetch_extent(self, schema_name: str, class_name: str) -> List[ObjectInstance]:
-        """The extension of one class — a local query."""
+    def fetch_extent(
+        self,
+        schema_name: str,
+        class_name: str,
+        shard: Optional["ShardSpec"] = None,
+    ) -> List[ObjectInstance]:
+        """The extension of one class — a local query; with *shard*, only
+        the instances that shard endpoint owns."""
         self._record(schema_name, class_name)
-        return self._database(schema_name).extent(class_name)
+        return self._database(schema_name).extent(class_name, shard)
 
     def fetch_direct_extent(
-        self, schema_name: str, class_name: str
+        self,
+        schema_name: str,
+        class_name: str,
+        shard: Optional["ShardSpec"] = None,
     ) -> List[ObjectInstance]:
         self._record(schema_name, class_name)
-        return self._database(schema_name).direct_extent(class_name)
+        return self._database(schema_name).direct_extent(class_name, shard)
 
     def fetch_value_set(
         self, schema_name: str, class_name: str, attribute: str

@@ -13,13 +13,16 @@ only ever asks component databases these questions.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Union
 
 from ..errors import InstanceError, UnknownClassError
 from .instances import ObjectInstance
 from .oids import OID, OIDGenerator
 from .schema import Schema
 from .store import value_set_of
+
+if TYPE_CHECKING:
+    from ..runtime.sharding import ShardSpec
 
 
 class ObjectDatabase:
@@ -113,20 +116,30 @@ class ObjectDatabase:
     def get(self, oid: OID) -> Optional[ObjectInstance]:
         return self._by_oid.get(oid)
 
-    def direct_extent(self, class_name: str) -> List[ObjectInstance]:
-        """Instances created directly in *class_name* (no subclasses)."""
+    def direct_extent(
+        self, class_name: str, shard: Optional["ShardSpec"] = None
+    ) -> List[ObjectInstance]:
+        """Instances created directly in *class_name* (no subclasses);
+        with *shard*, only those that shard owns."""
         if class_name not in self.schema:
             raise UnknownClassError(class_name, self.schema.name)
+        if shard is not None:
+            return shard.filter_instances(self._extents[class_name])
         return list(self._extents[class_name])
 
-    def extent(self, class_name: str) -> List[ObjectInstance]:
-        """The full extension ``{<o : C>}`` including subclass instances."""
+    def extent(
+        self, class_name: str, shard: Optional["ShardSpec"] = None
+    ) -> List[ObjectInstance]:
+        """The full extension ``{<o : C>}`` including subclass instances;
+        with *shard*, only those that shard owns."""
         if class_name not in self.schema:
             raise UnknownClassError(class_name, self.schema.name)
         names = [class_name] + sorted(self.schema.descendants(class_name))
         result: List[ObjectInstance] = []
         for name in names:
             result.extend(self._extents[name])
+        if shard is not None:
+            return shard.filter_instances(result)
         return result
 
     def select(

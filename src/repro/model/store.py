@@ -11,10 +11,13 @@ key freshness to.  :class:`ComponentStore` is that structural contract.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Protocol, Set
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Protocol, Set
 
 from .instances import ObjectInstance
 from .schema import Schema
+
+if TYPE_CHECKING:  # the shard coordinate only flows through as a value
+    from ..runtime.sharding import ShardSpec
 
 
 class ComponentStore(Protocol):
@@ -23,6 +26,12 @@ class ComponentStore(Protocol):
     ``version`` identifies the current state of the underlying data; the
     extent cache compares versions by equality, so any value that changes
     when the data changes (a mutation counter, a file fingerprint) works.
+
+    An extent call may carry a *shard* coordinate: the store then
+    returns only the instances that shard owns
+    (:meth:`~repro.runtime.sharding.ShardSpec.filter_instances` of the
+    whole extent, in the same order), and is free to skip the work for
+    the rest.
     """
 
     @property
@@ -31,9 +40,13 @@ class ComponentStore(Protocol):
     @property
     def version(self) -> int: ...
 
-    def direct_extent(self, class_name: str) -> List[ObjectInstance]: ...
+    def direct_extent(
+        self, class_name: str, shard: Optional["ShardSpec"] = None
+    ) -> List[ObjectInstance]: ...
 
-    def extent(self, class_name: str) -> List[ObjectInstance]: ...
+    def extent(
+        self, class_name: str, shard: Optional["ShardSpec"] = None
+    ) -> List[ObjectInstance]: ...
 
     def value_set(self, class_name: str, attribute: str) -> Set[Any]: ...
 

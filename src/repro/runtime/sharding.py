@@ -9,19 +9,34 @@ scale with data volume instead of schema count.
 
 Two plan kinds partition the global OID space deterministically:
 
-* ``hash`` — a stable CRC32 of the OID's string form modulo the shard
-  count: uniform, order-free, the default;
+* ``hash`` — a stable CRC32 of the OID's relation coordinate
+  (``agent.system.db.relation``) mixed with its tuple number, modulo
+  the shard count: uniform, order-free, the default;
 * ``range`` — contiguous bands of the per-relation tuple numbers dealt
   round-robin (band *b*: numbers ``[k·b+1 .. (k+1)·b]`` go to shard
   ``k mod N``), preserving locality of consecutively-issued OIDs.
 
 Both are pure functions of the OID, so the scatter side (the executor)
-and the owning side (a transport filtering its extent) agree without
-shared state: the whole coordinate travels inside the request as a
-:class:`ShardSpec`.  A shard endpoint is named ``agent#index/of`` — the
-circuit breaker, the per-agent scan histogram and the fault-injection
-profiles all key on that name, so one dead shard trips (and reports)
-alone instead of poisoning its siblings.
+and the owning side agree without shared state: the whole coordinate
+travels inside the request as a :class:`ShardSpec`.  And since §3 gives
+tuple *n* of a relation the OID ``agent.system.db.relation.n``, the
+owner is known from the tuple number alone
+(:meth:`ShardSpec.number_predicate`): ownership is decided **at the
+source, before the transformation**.  A shard endpoint's scan skips the
+rows it does not own before any coercion, data mapping, FK lookup or
+OID construction, so N shards transform the extent once between them
+instead of N times.  In-memory object databases, whose instances exist
+already, filter them with the same formula
+(:meth:`ShardSpec.filter_instances`).
+
+A shard endpoint is named ``agent#index/of`` — the circuit breaker, the
+per-agent scan histogram and the fault-injection profiles all key on
+that name, so one dead shard trips (and reports) alone instead of
+poisoning its siblings.  The same holds for bad data: a row that fails
+the §3 coercion (:class:`~repro.errors.SourceFormatError`) fails only
+the endpoint that owns it, because its siblings never transform it.
+Under the ``partial`` policy the answer lacks exactly that shard's slice
+and ``missing_endpoints`` names it; under ``error`` the query raises.
 
 Merging is the dual of the scatter: extent slices concatenate in shard
 order with duplicates dropped by OID (a retried shard, or an overlapping
@@ -35,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import zlib
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import RuntimeFederationError, ShardMergeError
 from .transport import ScanRequest
@@ -55,43 +70,58 @@ def _relation_digest(agent: Any, system: Any, database: Any, relation: Any) -> i
     return zlib.crc32(f"{agent}.{system}.{database}.{relation}".encode("utf-8"))
 
 
-def _stable_hash(value: Any) -> int:
-    """A process-stable hash (``hash()`` is salted per interpreter).
+def _number_owner(
+    coordinate: Tuple[Any, ...], shards: int, kind: str, band: int
+) -> Callable[[int], int]:
+    """Tuple number → owning shard index within one relation.
 
-    Real OIDs take a fast path — a memoized CRC of the relation
-    coordinate mixed with the tuple number — because ownership tests run
-    once per instance per shard, i.e. O(shards × extent) times on the
-    hot scatter path; anything else digests its string form.
+    *coordinate* is ``(agent, system, database, relation)``, the OID
+    prefix a §3 transformation gives every tuple of the relation; the
+    returned function is the whole ownership formula.  ``hash`` plans
+    digest the coordinate once here (``hash()`` is salted per
+    interpreter, so a CRC keeps owners stable across processes) and mix
+    in the number per call; ``range`` plans need only the band formula.
     """
-    number = getattr(value, "number", None)
-    relation = getattr(value, "relation", None)
-    if isinstance(number, int) and relation is not None:
-        digest = _relation_digest(
-            getattr(value, "agent", ""),
-            getattr(value, "system", ""),
-            getattr(value, "database", ""),
-            relation,
-        )
-        # Knuth multiplicative mixing keeps consecutive numbers uniform
-        return (digest ^ ((number * 0x9E3779B1) & 0xFFFFFFFF)) & 0xFFFFFFFF
-    return zlib.crc32(str(value).encode("utf-8"))
+    if shards <= 1:
+        return lambda number: 0
+    if kind == "range":
+        width = max(band, 1)
+        return lambda number: (max(number - 1, 0) // width) % shards
+    digest = _relation_digest(*coordinate)
+    # Knuth multiplicative mixing keeps consecutive numbers uniform
+    return lambda number: (digest ^ ((number * 0x9E3779B1) & 0xFFFFFFFF)) % shards
+
+
+def _relation_of(oid: Any, kind: str) -> Optional[Tuple[Any, ...]]:
+    """The relation coordinate whose number formula owns *oid*, or None
+    when only its string form can decide (Skolem tokens, non-OID
+    identities; a ``range`` plan needs the tuple number alone)."""
+    number = getattr(oid, "number", None)
+    relation = getattr(oid, "relation", None)
+    if not isinstance(number, int) or (relation is None and kind != "range"):
+        return None
+    return (
+        getattr(oid, "agent", ""),
+        getattr(oid, "system", ""),
+        getattr(oid, "database", ""),
+        relation,
+    )
 
 
 def shard_of_oid(oid: Any, shards: int, kind: str = "hash", band: int = DEFAULT_BAND) -> int:
     """The shard index owning *oid* under a (*shards*, *kind*, *band*) plan.
 
-    ``hash`` plans use a stable digest of the OID's string form; ``range``
-    plans deal contiguous bands of the OID tuple *number* round-robin.
-    Skolem tokens and other non-OID identities fall back to the hash —
-    every identity is owned by exactly one shard either way.
+    A §3 OID ``agent.system.db.relation.n`` is owned by its tuple
+    number's shard within the relation (:func:`_number_owner`).  Skolem
+    tokens and other non-OID identities fall back to a CRC of their
+    string form — every identity is owned by exactly one shard either way.
     """
     if shards <= 1:
         return 0
-    if kind == "range":
-        number = getattr(oid, "number", None)
-        if isinstance(number, int):
-            return (max(number - 1, 0) // max(band, 1)) % shards
-    return _stable_hash(oid) % shards
+    coordinate = _relation_of(oid, kind)
+    if coordinate is None:
+        return zlib.crc32(str(oid).encode("utf-8")) % shards
+    return _number_owner(coordinate, shards, kind, band)(oid.number)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,49 +160,44 @@ class ShardSpec:
         """Does this shard own *oid* under its plan?"""
         return shard_of_oid(oid, self.of, self.kind, self.band) == self.index
 
+    def number_predicate(
+        self, agent: Any, system: Any, database: Any, relation: Any
+    ) -> Callable[[int], bool]:
+        """Does this shard own tuple *n* of one relation, i.e. the OID
+        ``agent.system.database.relation.n``?
+
+        Build it once per scan: a source tests each row's number before
+        the §3 transformation, so rows another shard owns cost nothing.
+        """
+        owner = _number_owner(
+            (agent, system, database, relation), self.of, self.kind, self.band
+        )
+        index = self.index
+        return lambda number: owner(number) == index
+
     def filter_instances(self, instances: Iterable[Any]) -> List[Any]:
         """The sub-extent this shard serves (instances carry ``.oid``).
 
-        This runs O(shards × extent) times on the scatter path, so the
-        ownership test is inlined (one :meth:`owns` call per instance
-        would double the cost of sharding a large extent under the GIL);
-        it must stay exactly equivalent to :func:`shard_of_oid`.
+        Sources decide ownership before the transformation
+        (:meth:`number_predicate`); this is the same test over
+        instances already built — an in-memory object database's
+        extents — with one predicate per relation.
         """
         if self.of <= 1:
             return list(instances)
-        index, of, band = self.index, self.of, max(self.band, 1)
+        predicates: Dict[Tuple[Any, ...], Callable[[int], bool]] = {}
         owned: List[Any] = []
-        if self.kind == "range":
-            for instance in instances:
-                number = getattr(instance.oid, "number", None)
-                if isinstance(number, int):
-                    owner = (max(number - 1, 0) // band) % of
-                else:
-                    owner = _stable_hash(instance.oid) % of
-                if owner == index:
-                    owned.append(instance)
-            return owned
-        digests: Dict[Tuple[Any, ...], int] = {}
         for instance in instances:
             oid = instance.oid
-            number = getattr(oid, "number", None)
-            relation = getattr(oid, "relation", None)
-            if isinstance(number, int) and relation is not None:
-                key = (
-                    getattr(oid, "agent", ""),
-                    getattr(oid, "system", ""),
-                    getattr(oid, "database", ""),
-                    relation,
-                )
-                digest = digests.get(key)
-                if digest is None:
-                    digest = digests[key] = _relation_digest(*key)
-                owner = (
-                    (digest ^ ((number * 0x9E3779B1) & 0xFFFFFFFF)) & 0xFFFFFFFF
-                ) % of
-            else:
-                owner = _stable_hash(oid) % of
-            if owner == index:
+            coordinate = _relation_of(oid, self.kind)
+            if coordinate is None:
+                if self.owns(oid):
+                    owned.append(instance)
+                continue
+            predicate = predicates.get(coordinate)
+            if predicate is None:
+                predicate = predicates[coordinate] = self.number_predicate(*coordinate)
+            if predicate(oid.number):
                 owned.append(instance)
         return owned
 

@@ -347,25 +347,22 @@ class InProcessTransport(AgentTransport):
                 tuple(self.perform(granule) for granule in request.requests)
             )
         agent = self._agent(request.agent)
+        shard = request.shard
         if request.op == "direct_extent":
-            extent = agent.fetch_direct_extent(request.schema, request.class_name)
-        elif request.op == "extent":
-            extent = agent.fetch_extent(request.schema, request.class_name)
-        else:
-            assert request.attribute is not None
-            if request.shard is None:
-                return agent.fetch_value_set(
-                    request.schema, request.class_name, request.attribute
-                )
-            # a shard's value set is computed over the slice it owns, with
-            # the same flattening semantics as ObjectDatabase.value_set
-            owned = request.shard.filter_instances(
-                agent.fetch_extent(request.schema, request.class_name)
+            return agent.fetch_direct_extent(request.schema, request.class_name, shard)
+        if request.op == "extent":
+            return agent.fetch_extent(request.schema, request.class_name, shard)
+        assert request.attribute is not None
+        if shard is None:
+            return agent.fetch_value_set(
+                request.schema, request.class_name, request.attribute
             )
-            return value_set_of(owned, request.attribute)
-        if request.shard is not None:
-            extent = request.shard.filter_instances(extent)
-        return extent
+        # a shard's value set is computed over the slice it owns, with
+        # the same flattening semantics as ObjectDatabase.value_set
+        return value_set_of(
+            agent.fetch_extent(request.schema, request.class_name, shard),
+            request.attribute,
+        )
 
 
 @dataclasses.dataclass(frozen=True)
