@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.errors import PartialResultError
+from repro.model.oids import OID
 from repro.runtime import (
     AgentTransport,
     AsyncAgentTransport,
@@ -28,6 +29,7 @@ from repro.runtime import (
     SimulatedNetworkTransport,
 )
 from repro.runtime.async_transport import AsyncSimulatedNetworkTransport
+from repro.workloads import build_memory_databases, generate_source_federation, source_fsm
 
 QUERY = "person0() -> ssn#"
 PLAN = ShardPlan(3)
@@ -196,6 +198,82 @@ class TestRetryDedup:
             stats = fsm.last_query_stats
             assert stats.counter("timeouts") >= 1
             assert stats.missing_shards == {}
+        finally:
+            runtime.close()
+
+
+class TestMalformedRowIsolation:
+    """A row that fails §3 coercion fails only the shard that owns it.
+
+    Shard ownership is decided on the tuple number before the row is
+    transformed, so sibling shards never coerce the bad row: under
+    ``partial`` the answer lacks exactly the owner's slice, under
+    ``error`` the query still refuses.
+    """
+
+    SOURCE_QUERY = "person() -> ssn, name, level"
+    SOURCE_PLAN = ShardPlan(4)
+    BAD_NUMBER = 7  # tuple number of the corrupted university person
+
+    def _federation(self, corrupt):
+        dataset = generate_source_federation(
+            people_per_schema=16, records_per_person=1, seed=5
+        )
+        if corrupt:
+            row = dataset.rows["university"]["person"][self.BAD_NUMBER - 1]
+            row["level"] = "not-a-level"  # an INTEGER column: coercion fails
+        fsm = source_fsm(build_memory_databases(dataset), dataset.assertions)
+        fsm.integrate_all()
+        return fsm
+
+    def _owner(self, fsm):
+        adapter = fsm.database("university").adapter
+        oid = OID(adapter.agent, adapter.system, adapter.name, "person", self.BAD_NUMBER)
+        return oid, self.SOURCE_PLAN.shard_of(oid)
+
+    def _attach(self, fsm, failure_policy, mode):
+        return fsm.use_runtime(
+            RuntimePolicy(
+                max_retries=0, backoff_base=0.0, failure_policy=failure_policy
+            ),
+            mode=mode,
+            shard_plan=self.SOURCE_PLAN,
+            plan=False,
+        )
+
+    @pytest.mark.parametrize("mode", ["threaded", "async"])
+    def test_partial_lacks_exactly_the_owning_shard(self, mode):
+        clean = self._federation(corrupt=False)
+        fsm = self._federation(corrupt=True)
+        _, owner = self._owner(fsm)
+        lost = {
+            obj.get("ssn")
+            for obj in clean.database("university").direct_extent("person")
+            if self.SOURCE_PLAN.shard_of(obj.oid) == owner
+        }
+        expected = sorted(
+            row["ssn"] for row in clean.query(self.SOURCE_QUERY)
+            if row["ssn"] not in lost
+        )
+        runtime = self._attach(fsm, "partial", mode)
+        try:
+            rows = fsm.query(self.SOURCE_QUERY)
+            assert sorted(row["ssn"] for row in rows) == expected
+            assert set(fsm.last_query_stats.missing_shards) == {
+                f"agent-university#{owner}/4"
+            }
+        finally:
+            runtime.close()
+
+    @pytest.mark.parametrize("mode", ["threaded", "async"])
+    def test_error_policy_still_refuses(self, mode):
+        fsm = self._federation(corrupt=True)
+        _, owner = self._owner(fsm)
+        runtime = self._attach(fsm, "error", mode)
+        try:
+            with pytest.raises(PartialResultError) as excinfo:
+                fsm.query(self.SOURCE_QUERY)
+            assert f"agent-university#{owner}/4" in str(excinfo.value)
         finally:
             runtime.close()
 
