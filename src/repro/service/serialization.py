@@ -20,14 +20,39 @@ from ..model.oids import OID
 from ..runtime.metrics import RuntimeStats
 
 
+#: types :func:`json_safe` passes through unchanged, matched exactly
+_PRIMITIVES = frozenset({type(None), bool, int, float, str})
+
+
 def json_safe(value: Any) -> Any:
     """Recursively coerce *value* into JSON-serializable primitives.
 
     OIDs render as their dotted string form; sets (multivalued
     attribute values) become sorted lists so output is deterministic;
     anything else unknown falls back to ``str``.
+
+    Answer rows are plain dicts of primitives, so the common types are
+    dispatched on their exact ``type()``; only subclasses and other
+    mappings reach the ``isinstance`` chain (an ABC check against
+    ``Mapping`` on every value cost a fifth of a serialized query).
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    kind = type(value)
+    if kind in _PRIMITIVES:
+        return value
+    if kind is dict:
+        return {str(key): json_safe(item) for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return [json_safe(item) for item in value]
+    if kind is OID:
+        return str(value)
+    if kind is set or kind is frozenset:
+        return sorted((json_safe(item) for item in value), key=repr)
+    return _json_safe_subclass(value)
+
+
+def _json_safe_subclass(value: Any) -> Any:
+    """:func:`json_safe` for values whose exact type it does not list."""
+    if isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, OID):
         return str(value)

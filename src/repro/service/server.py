@@ -10,8 +10,12 @@ one is installed; run :class:`ServiceServer` when not.
 Shutdown is cooperative: :meth:`ServiceServer.request_shutdown` (thread
 safe) or the app's ``/admin/shutdown`` endpoint sets a stop event; the
 accept loop closes, idle keep-alive connections notice within one poll
-interval, the ASGI ``lifespan.shutdown`` handshake drains the
-repository, and :meth:`run` returns.
+interval and the server awaits their handlers (a handler still stuck
+after a grace period has its connection aborted, which ends its read),
+the ASGI ``lifespan.shutdown`` handshake drains the repository, and
+:meth:`run` returns.  No handler is left for ``asyncio.run`` to cancel:
+a cancelled stream handler makes the event loop log a ``CancelledError``
+traceback.
 
 :class:`ServerThread` hosts the whole thing on a background thread —
 the shape the test-suite and the E-R5 load benchmark drive.
@@ -29,6 +33,8 @@ from .app import FederationService
 
 #: how often an idle keep-alive connection re-checks the stop event
 _POLL = 0.25
+#: how long shutdown waits for connection handlers before aborting them
+_DRAIN_GRACE = 8 * _POLL
 #: idle keep-alive connections are dropped after this many seconds
 IDLE_TIMEOUT = 30.0
 #: largest request head (request line + headers) accepted
@@ -110,6 +116,8 @@ class ServiceServer:
         self.bound_port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopping: Optional[asyncio.Event] = None
+        #: live connection handlers, with the writer that can abort each
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self.ready = threading.Event()
         if app.shutdown_callback is None:
             app.shutdown_callback = self.request_shutdown
@@ -146,9 +154,22 @@ class ServiceServer:
             await self._stopping.wait()
         finally:
             server.close()
+            await self._drain_connections()
             await server.wait_closed()
             await self._lifespan_message({"type": "lifespan.shutdown"})
             self.ready.clear()
+
+    async def _drain_connections(self) -> None:
+        """Await every connection handler; they see the stop event within
+        one poll.  Handlers still running after the grace period (a peer
+        that never finishes its request body) get their connection
+        aborted, which ends any pending read."""
+        while self._connections:
+            _, stuck = await asyncio.wait(
+                list(self._connections), timeout=_DRAIN_GRACE
+            )
+            for task in stuck:
+                self._connections[task].transport.abort()
 
     async def _lifespan_message(self, message: Message) -> None:
         """Run one side of the ASGI lifespan handshake.
@@ -185,6 +206,9 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         assert self._stopping is not None
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -207,6 +231,7 @@ class ServiceServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+            del self._connections[task]
 
     async def _handle_request(
         self,

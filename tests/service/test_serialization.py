@@ -1,6 +1,9 @@
 """The shared wire vocabulary: json_safe, stats_to_dict, query payloads."""
 
+import collections
+import enum
 import json
+import types
 
 import pytest
 
@@ -41,6 +44,24 @@ class TestJsonSafe:
     def test_rows_preserve_order(self):
         rows = [{"a": 1}, {"a": 2}]
         assert rows_to_json(rows) == [{"a": 1}, {"a": 2}]
+
+    def test_mappings_and_subclasses_serialize_like_their_base_types(self):
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Name(str):
+            pass
+
+        Pair = collections.namedtuple("Pair", "left right")
+        oid = OID("agent1", "pyoodb", "S1", "person", 7)
+        inner = {"oid": oid, "levels": frozenset({2, 1}), "pair": (1, "a")}
+        proxy = types.MappingProxyType(inner)
+        assert json_safe(proxy) == json_safe(inner) == {
+            "oid": str(oid), "levels": [1, 2], "pair": [1, "a"],
+        }
+        ordered = collections.OrderedDict([(1, Name("x")), ("b", Level.HIGH)])
+        assert json.dumps(json_safe(ordered)) == '{"1": "x", "b": 3}'
+        assert json_safe(Pair(oid, {"k": None})) == [str(oid), {"k": None}]
 
 
 class TestStatsToDict:
