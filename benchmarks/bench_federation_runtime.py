@@ -73,9 +73,11 @@ invalidation in the window, no slice is built again.
 **E-R9** (3 heterogeneous component schemas, memory-backed, **no**
 injected latency, cache disabled, 8-way shard plan): the CPU-bound
 data plane — every query round re-runs the real per-item §3 work
-(row deserialization, type coercion, data mappings, shard-ownership
-filtering) for every shard granule plus the Appendix-B rule-body join,
-threaded pool vs ``mode="multiprocess"`` at 8 workers.  The threaded
+(row deserialization, type coercion, data mappings) once per row,
+each shard granule transforming only the rows it owns (ownership is
+tested on the tuple number before the transformation), plus the
+Appendix-B rule-body join, threaded pool vs ``mode="multiprocess"`` at
+8 workers.  The threaded
 executor serializes all of it on the GIL no matter how many threads it
 owns; the process pool spreads it across cores, its workers answering
 in pickled instance lists.  Answers must be byte-identical; the speedup is recorded
@@ -767,8 +769,8 @@ def run_multiprocess():
 
     The per-item cost here is entirely real: memory source adapters
     re-run the §3 pipeline (deserialization, coercion, TripleMapping /
-    LinearMapping translation, FK → OID resolution) on every scan, the
-    8-way shard plan multiplies that work per query, the cache is off so
+    LinearMapping translation, FK → OID resolution) on every scan, each
+    of the 8 shard granules over the rows it owns, the cache is off so
     every round pays it again, and the query's rule-body join runs on
     top.  Both modes get the same 8-worker budget; only the multiprocess
     pool can spend it on more than one core.
