@@ -40,8 +40,8 @@ runtime) priced end to end.
 **E-R6** (the genealogy 2-agent and cluster 4-agent federations, 10ms
 injected per-call latency): the same cold query answered with the query
 planner off (one round-trip per scan granule — the pre-planner traffic)
-and on (assertion-graph pruning + per-endpoint batch coalescing +
-pushdown hints).  The planned run must pay strictly fewer agent
+and on (assertion-graph pruning + per-endpoint batch coalescing; the
+runtime caches, so no selection is pushed).  The planned run must pay strictly fewer agent
 round-trips per query on **both** federations and return byte-identical
 answers — the planner's whole contract.
 

@@ -33,7 +33,8 @@ Subcommands:
     to a sqlite file (a re-run with the same path answers warm without
     touching one agent), ``--plan`` / ``--no-plan`` toggles the query
     planner (assertion-graph pruning, per-endpoint scan coalescing,
-    pushdown hints; on by default), ``--deltas`` / ``--no-deltas``
+    and with ``--no-cache`` selection pushdown; on by default; ``--stats``
+    prints the plan), ``--deltas`` / ``--no-deltas``
     toggles patching stale cached extents from component delta feeds
     (on by default), ``--repeat N`` re-runs the query
     (showing the extent cache), ``--appendix-b`` uses the top-down
@@ -213,8 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="run the query planner: assertion-graph pruning, per-endpoint "
-        "scan coalescing and advisory pushdown hints (--no-plan restores "
-        "one round-trip per scan granule)",
+        "scan coalescing and, with --no-cache, pushing the query's "
+        "equalities into the component scans (--no-plan restores one "
+        "round-trip per unnarrowed scan granule)",
     )
     query.add_argument(
         "--deltas",
@@ -377,6 +379,8 @@ def _cmd_query(arguments, out) -> int:
             }
             if arguments.stats:
                 document["runs"] = runs
+                if runtime.last_plan is not None:
+                    document["plan"] = runtime.last_plan.describe()
                 document["stats"] = {
                     "last_query": stats_to_dict(fsm.last_query_stats),
                     "cumulative": stats_to_dict(runtime.stats()),
@@ -392,6 +396,8 @@ def _cmd_query(arguments, out) -> int:
             print(f"warning: {warning}", file=out)
         if arguments.stats:
             print(file=out)
+            if runtime.last_plan is not None:
+                print(runtime.last_plan.describe(), file=out)
             print("last query:", file=out)
             print(fsm.last_query_stats.describe(), file=out)
             print(file=out)

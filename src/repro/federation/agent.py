@@ -9,7 +9,9 @@ interface the FSM layer may use:
 
 * export of the (transformed) local schema;
 * extent / value-set / attribute scans of one class — whole, or the
-  slice one shard endpoint owns (the store skips the rest).
+  slice one shard endpoint owns (the store skips the rest); a direct
+  extent scan may carry an equality selection in the local vocabulary,
+  which the store may use to skip instances that cannot match.
 
 Every access is counted, so the autonomy property (the FSM never
 evaluates rules inside a component system, Appendix B) is testable.
@@ -24,7 +26,7 @@ from ..errors import RegistrationError
 from ..model.database import ObjectDatabase
 from ..model.instances import ObjectInstance
 from ..model.schema import Schema
-from ..model.store import ComponentStore
+from ..model.store import ComponentStore, Selection
 from .relational import RelationalDatabase
 from .transform import materialize_view
 
@@ -110,9 +112,12 @@ class FSMAgent:
         schema_name: str,
         class_name: str,
         shard: Optional["ShardSpec"] = None,
+        where: Selection = (),
     ) -> List[ObjectInstance]:
+        """The direct extension of one class; with *where*, the store
+        may leave out instances that cannot satisfy the selection."""
         self._record(schema_name, class_name)
-        return self._database(schema_name).direct_extent(class_name, shard)
+        return self._database(schema_name).direct_extent(class_name, shard, where)
 
     def fetch_value_set(
         self, schema_name: str, class_name: str, attribute: str

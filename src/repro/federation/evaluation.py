@@ -112,8 +112,9 @@ def lift_facts(
     A *plan* (:class:`~repro.runtime.planner.QueryPlan`) restricts both
     the prefetch and the lifting loop to the integrated classes that can
     contribute to its query — the §6 pruning closure guarantees skipped
-    classes cannot change the answer — and threads the pushdown hint
-    into every prefetch scan.
+    classes cannot change the answer — and hands the runtime its
+    per-origin selections, so a cache-off runtime lifts only the
+    instances of the queried class that can match the query.
     """
     if mappings is None:
         mappings = MappingRegistry()
@@ -136,7 +137,7 @@ def lift_facts(
         prefetched = runtime.scan_extents(
             pairs,
             op="direct_extent",
-            hint=plan.hint if plan is not None else None,
+            selections=plan.selections if plan is not None else None,
             versions=versions,
         )
 

@@ -324,7 +324,7 @@ class FSM:
 
         *plan* — a :class:`~repro.runtime.planner.QueryPlan` — restricts
         fact lifting to the classes that can contribute to one query and
-        threads the pushdown hint into the prefetch fan-out.
+        threads its per-origin selections into the prefetch fan-out.
         """
         if self.integrated is None:
             raise QueryError("integrate schemas before querying")
@@ -342,7 +342,8 @@ class FSM:
         runtime is absent, planning is disabled, or nothing is integrated.
 
         The plan lands on ``runtime.last_plan`` and ticks the
-        ``planned_queries`` / ``pruned_classes`` counters.
+        ``planned_queries`` / ``pruned_classes`` counters.  It narrows
+        the queried class's scans only when the runtime's cache is off.
         """
         runtime = self.runtime
         if (
@@ -355,7 +356,16 @@ class FSM:
 
         if isinstance(query, str):
             query = FederatedQuery.parse(query)
-        plan = build_plan(self.integrated, query, schemas=set(self._schema_host))
+        plan = build_plan(
+            self.integrated,
+            query,
+            schemas={
+                name: self._host_of(name).export_schema(name)
+                for name in self._schema_host
+            },
+            mappings=self.mappings,
+            cache_enabled=runtime.policy.cache_enabled,
+        )
         runtime.last_plan = plan
         runtime.metrics.incr("planned_queries")
         if plan.pruned:
@@ -374,8 +384,9 @@ class FSM:
         scans each agent served for *this* query) made observable.
         When the runtime has planning enabled, the query goes through
         :meth:`plan_query` first: pruned classes are never scanned or
-        lifted, the remaining granules coalesce per endpoint, and the
-        projection/predicate hint rides along.
+        lifted, the remaining granules coalesce per endpoint, and on a
+        cache-off runtime the query's equalities narrow the queried
+        class's scans at the component stores.
         """
         if isinstance(query, str):
             query = FederatedQuery.parse(query)
@@ -405,7 +416,8 @@ class FSM:
         extensions that can contribute, so the program's per-predicate
         fetches become cache hits instead of one round-trip each.  The
         evaluator itself is unchanged; autonomy (one concept extension
-        per fetch) is preserved at the source layer.
+        per fetch) is preserved at the source layer.  The prefetch is
+        never narrowed: the program reads whole extensions.
         """
         if self.integrated is None:
             raise QueryError("integrate schemas before querying")
@@ -418,7 +430,7 @@ class FSM:
             if plan is not None and plan.pairs:
                 # AgentSource fetches full extents (op="extent"); warm
                 # those granules so its per-predicate pulls hit the cache
-                self.runtime.scan_extents(plan.pairs, op="extent", hint=plan.hint)
+                self.runtime.scan_extents(plan.pairs, op="extent")
         return appendix_b_program(
             self.integrated,
             agents,

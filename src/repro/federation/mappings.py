@@ -87,6 +87,15 @@ class TripleMapping(DataMapping):
                     best = (chi, a)
         return best[1] if best else None
 
+    def preimage(self, value: Any) -> Tuple[Any, ...]:
+        """The distinct ``b`` values of the triples that translate to
+        *value*, in triple order.  Any other input translates to None."""
+        found: List[Any] = []
+        for _a, b, _chi in self.triples:
+            if b not in found and self.translate(b) == value:
+                found.append(b)
+        return tuple(found)
+
     def degree(self, a: Any, b: Any) -> float:
         """χ for the pair (a, b); 0.0 when unrelated."""
         degrees = [chi for a2, b2, chi in self.triples if a2 == a and b2 == b]

@@ -19,7 +19,7 @@ from ..errors import InstanceError, UnknownClassError
 from .instances import ObjectInstance
 from .oids import OID, OIDGenerator
 from .schema import Schema
-from .store import value_set_of
+from .store import Selection, value_set_of
 
 if TYPE_CHECKING:
     from ..runtime.sharding import ShardSpec
@@ -117,10 +117,14 @@ class ObjectDatabase:
         return self._by_oid.get(oid)
 
     def direct_extent(
-        self, class_name: str, shard: Optional["ShardSpec"] = None
+        self,
+        class_name: str,
+        shard: Optional["ShardSpec"] = None,
+        where: Selection = (),
     ) -> List[ObjectInstance]:
         """Instances created directly in *class_name* (no subclasses);
-        with *shard*, only those that shard owns."""
+        with *shard*, only those that shard owns.  *where* is ignored:
+        the instances are already materialized, so every one is kept."""
         if class_name not in self.schema:
             raise UnknownClassError(class_name, self.schema.name)
         if shard is not None:

@@ -11,13 +11,22 @@ key freshness to.  :class:`ComponentStore` is that structural contract.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Protocol, Set
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Protocol, Set, Tuple
 
 from .instances import ObjectInstance
 from .schema import Schema
 
 if TYPE_CHECKING:  # the shard coordinate only flows through as a value
     from ..runtime.sharding import ShardSpec
+
+#: an equality selection in a component's local vocabulary:
+#: ``((attribute, constant), ...)``, every pair must hold
+Selection = Tuple[Tuple[str, Any], ...]
+
+
+def describe_selection(where: Selection) -> str:
+    """``attr=const, ...`` — how plans and scan descriptions print one."""
+    return ", ".join(f"{name}={value!r}" for name, value in where)
 
 
 class ComponentStore(Protocol):
@@ -32,6 +41,12 @@ class ComponentStore(Protocol):
     (:meth:`~repro.runtime.sharding.ShardSpec.filter_instances` of the
     whole extent, in the same order), and is free to skip the work for
     the rest.
+
+    A ``direct_extent`` call may also carry a *where* selection: the
+    store may then return any sub-list of the (shard's) extent, in
+    extent order, that keeps every instance whose attribute value
+    equals each constant — so it may skip materializing the rest, or
+    ignore *where* altogether.
     """
 
     @property
@@ -41,7 +56,10 @@ class ComponentStore(Protocol):
     def version(self) -> int: ...
 
     def direct_extent(
-        self, class_name: str, shard: Optional["ShardSpec"] = None
+        self,
+        class_name: str,
+        shard: Optional["ShardSpec"] = None,
+        where: Selection = (),
     ) -> List[ObjectInstance]: ...
 
     def extent(

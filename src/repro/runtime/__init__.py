@@ -36,8 +36,8 @@ query paths and the agents:
   access histograms behind :class:`RuntimeStats` snapshots;
 * :mod:`~repro.runtime.planner` — the query planner: §6 assertion-graph
   pruning applied at query time, scan coalescing into per-endpoint
-  :class:`BatchScanRequest` round-trips, and autonomy-preserving
-  :class:`ScanHint` pushdown;
+  :class:`BatchScanRequest` round-trips, and, on cache-off runtimes,
+  pushdown of the query's equalities as local-vocabulary selections;
 * :mod:`~repro.runtime.runtime` — the :class:`FederationRuntime` facade
   the FSM attaches via :meth:`repro.federation.fsm.FSM.use_runtime`.
 """
@@ -93,7 +93,6 @@ from .transport import (
     BatchScanResult,
     FaultProfile,
     InProcessTransport,
-    ScanHint,
     ScanRequest,
     SimulatedNetworkTransport,
     transfer_item_count,
@@ -136,7 +135,6 @@ __all__ = [
     "RuntimePolicy",
     "RuntimeStats",
     "ScanFailure",
-    "ScanHint",
     "ScanOutcome",
     "ScanRequest",
     "ShardPlan",

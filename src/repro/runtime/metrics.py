@@ -27,6 +27,9 @@ Counter vocabulary (all monotonic):
 ``cache_restores``      entries reloaded from a persistent extent store
 ``planned_queries``     queries the planner pruned/coalesced
 ``pruned_classes``      integrated classes skipped by query-time pruning
+``scans_narrowed``      extent scans that carried a planner selection, so
+                        their store materialized only possible matches
+                        (cache-off runtimes only; never cached)
 ``lost_granules``       granules lost when their batch's dispatch failed
 ``deltas_applied``      delta-feed version steps replayed into the cache
 ``granules_patched``    cache variants patched in place by delta chains

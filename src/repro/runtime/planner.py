@@ -21,11 +21,31 @@ plans a :class:`~repro.federation.query.FederatedQuery` into a
    batched round-trip (:func:`~repro.runtime.executor.coalesce_by_endpoint`
    builds the :class:`~repro.runtime.transport.BatchScanRequest`\\ s;
    the executors own that step since they own dispatch).
-3. **Push down** — the query's attribute projections and simple
-   equality predicates travel as a
-   :class:`~repro.runtime.transport.ScanHint`: advisory,
-   autonomy-preserving, and excluded from request identity, so hinted
-   scans share cache granules with unhinted ones.
+3. **Push down** — when the query's scans will not be cached, each
+   ``attribute = constant`` of the query becomes a selection in the
+   **local** vocabulary of every origin of the queried class it can
+   safely narrow (:data:`QueryPlan.selections`), and the component
+   store materializes only the instances that can match.  The agent
+   still runs its own local query (§3 autonomy); the engine still
+   evaluates the whole query, so narrowing removes work but never
+   changes an answer.  An origin ``(s, c)`` of the queried class ``C``
+   is narrowed on ``a = v`` only when
+
+   * no evaluable rule reads ``C`` or an integrated ancestor of ``C``
+     in its body, derives facts about ``C`` in its head, or ranges
+     over classes schematically — so every ``C`` fact of an object
+     scanned from ``(s, c)`` is lifted from that object alone;
+   * ``C``'s integrated attribute ``a`` has exactly one origin
+     attribute ``b`` visible on ``c`` in schema ``s``, and ``b`` is not
+     an aggregation;
+   * the federation's data-mapping registry resolves ``(a, s, b)`` to
+     :class:`~repro.federation.mappings.DefaultMapping`, so the value
+     lifted is the value the store tests;
+   * ``v`` is hashable (the selection is part of request identity).
+
+   Origins of ``C``'s descendants are scanned in full.  Every origin
+   of ``C`` left unnarrowed is named with its reason in
+   :data:`QueryPlan.unnarrowed`.
 
 The planner sees only schema-level metadata (the integrated schema's
 classes, links and rules) — never component data — so planning cost is
@@ -37,22 +57,28 @@ from __future__ import annotations
 import dataclasses
 from typing import (
     TYPE_CHECKING,
+    Any,
     Container,
     Dict,
     FrozenSet,
     List,
+    Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
+from ..federation.evaluation import _ancestor_chain
+from ..federation.mappings import DefaultMapping, MappingRegistry
 from ..logic.atoms import Atom
 from ..logic.oterms import OTerm, parse_predicate
-from .transport import ScanHint
+from ..model.store import Selection, describe_selection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..federation.query import FederatedQuery
-    from ..integration.result import IntegratedSchema
+    from ..integration.result import IntegratedClass, IntegratedSchema
+    from ..model.schema import Schema
 
 #: body predicates whose facts exist independently of class scans —
 #: ``same_object`` comes from the identity specs, ``is_a`` from the
@@ -72,8 +98,15 @@ class QueryPlan:
     pruned: Tuple[str, ...]
     #: (schema, local class) direct-extent scans the plan still needs
     pairs: Tuple[Tuple[str, str], ...]
-    #: advisory projection/predicate pushdown for every planned scan
-    hint: Optional[ScanHint] = None
+    #: (schema, local class) → the local selection its scan may carry
+    selections: Dict[Tuple[str, str], Selection] = dataclasses.field(
+        default_factory=dict
+    )
+    #: origins of the queried class scanned in full despite the query's
+    #: equalities → why (``cache on``, ``rule reads C``, ...)
+    unnarrowed: Dict[Tuple[str, str], str] = dataclasses.field(
+        default_factory=dict
+    )
 
     def allows(self, class_name: str) -> bool:
         """May *class_name* contribute to this query's answer?"""
@@ -81,12 +114,21 @@ class QueryPlan:
 
     def describe(self) -> str:
         kept = len(self.contributing)
-        return (
+        text = (
             f"plan({self.class_name}: {kept} classes kept, "
             f"{len(self.pruned)} pruned, {len(self.pairs)} scans"
-            + (f", {self.hint.describe()}" if self.hint else "")
-            + ")"
         )
+        if self.selections:
+            text += "; narrowed " + ", ".join(
+                f"{schema}.{local}[{describe_selection(where)}]"
+                for (schema, local), where in self.selections.items()
+            )
+        if self.unnarrowed:
+            text += "; full " + ", ".join(
+                f"{schema}.{local} ({reason})"
+                for (schema, local), reason in self.unnarrowed.items()
+            )
+        return text + ")"
 
 
 class _RuleFeeds:
@@ -146,8 +188,14 @@ def _classify_rule(rule) -> _RuleFeeds:
     return feeds
 
 
+def _rule_feeds(integrated: "IntegratedSchema") -> List[_RuleFeeds]:
+    return [_classify_rule(rule) for rule in integrated.evaluable_rules()]
+
+
 def contributing_classes(
-    integrated: "IntegratedSchema", class_name: str
+    integrated: "IntegratedSchema",
+    class_name: str,
+    feeds: Optional[Sequence[_RuleFeeds]] = None,
 ) -> FrozenSet[str]:
     """The integrated classes whose extents can feed facts about
     *class_name* — the §6 pruning argument run at query time.
@@ -162,7 +210,8 @@ def contributing_classes(
     children: Dict[str, Set[str]] = {}
     for child, parent in integrated.is_a_links():
         children.setdefault(parent, set()).add(child)
-    feeds = [_classify_rule(rule) for rule in integrated.evaluable_rules()]
+    if feeds is None:
+        feeds = _rule_feeds(integrated)
     # base facts for same_object / is_a exist without any class scan —
     # but only treat them as scan-free if no rule also *derives* them
     derived_predicates: Set[str] = set()
@@ -205,18 +254,135 @@ def contributing_classes(
     return frozenset(relevant & all_classes)
 
 
+def _rule_conflict(
+    integrated: "IntegratedSchema", class_name: str, feeds: Sequence[_RuleFeeds]
+) -> Optional[str]:
+    """Why a rule forbids narrowing *class_name*'s origins, or None.
+
+    A rule that reads the class (or an ancestor, whose extent holds the
+    class's objects) could derive other facts from the objects a narrowed
+    scan leaves out; a rule that derives facts about the class could
+    give a left-out object the queried value."""
+    guarded = set(_ancestor_chain(integrated, class_name))
+    for rule in feeds:
+        if rule.body_schematic or not rule.body_classes.isdisjoint(guarded):
+            return f"rule reads {class_name}"
+        if rule.head_indeterminate or class_name in rule.head_classes:
+            return f"rule derives {class_name}"
+    return None
+
+
+def _local_attribute(
+    integrated_class: "IntegratedClass",
+    name: str,
+    schema_name: str,
+    local_class: str,
+    local_schema: "Schema",
+    mappings: MappingRegistry,
+) -> Tuple[Optional[str], str]:
+    """The local attribute a narrowed scan of ``(schema, local class)``
+    tests for the query's *name*, or ``(None, reason)``.
+
+    Mirrors the lifting loop: the value lifted as ``att$C$name`` for an
+    object of *local_class* comes from the origin attributes of *name*
+    in *schema_name* that are declared on *local_class* or a local
+    ancestor of it."""
+    attribute = integrated_class.attributes.get(name)
+    if attribute is None:
+        if name in integrated_class.aggregations:
+            return None, "aggregation"
+        return None, "no origin attribute"
+    ancestry = {local_class} | local_schema.ancestors(local_class)
+    effective = local_schema.effective_class(local_class)
+    candidates = [
+        o_attr
+        for o_schema, o_class, o_attr in attribute.origins
+        if o_schema == schema_name
+        and o_class in ancestry
+        and effective.has_member(o_attr)
+    ]
+    if not candidates:
+        return None, "no origin attribute"
+    if len(set(candidates)) > 1:
+        return None, "several origin attributes"
+    local = candidates[0]
+    if effective.get_aggregation(local) is not None:
+        return None, "aggregation"
+    if type(mappings.resolve(name, schema_name, local)) is not DefaultMapping:
+        return None, "registry mapping"
+    return local, ""
+
+
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _selections(
+    integrated: "IntegratedSchema",
+    query: "FederatedQuery",
+    origins: Sequence[Tuple[str, str]],
+    schemas: Mapping[str, "Schema"],
+    mappings: MappingRegistry,
+    feeds: Sequence[_RuleFeeds],
+) -> Tuple[Dict[Tuple[str, str], Selection], Dict[Tuple[str, str], str]]:
+    """Per-origin local selections for *query*, and why the others
+    stay full (see the module docstring for the conditions)."""
+    selections: Dict[Tuple[str, str], Selection] = {}
+    unnarrowed: Dict[Tuple[str, str], str] = {}
+    conflict = _rule_conflict(integrated, query.class_name, feeds)
+    if conflict is not None:
+        return selections, dict.fromkeys(origins, conflict)
+    integrated_class = integrated.cls(query.class_name)
+    for origin in origins:
+        schema_name, local_class = origin
+        local_schema = schemas.get(schema_name)
+        if local_schema is None or local_class not in local_schema:
+            unnarrowed[origin] = "no local schema"
+            continue
+        where: List[Tuple[str, Any]] = []
+        reason = ""
+        for name, constant in query.where:
+            if not _hashable(constant):
+                reason = reason or "unhashable constant"
+                continue
+            local, why = _local_attribute(
+                integrated_class, name, schema_name, local_class, local_schema, mappings
+            )
+            if local is None:
+                reason = reason or why
+            else:
+                where.append((local, constant))
+        if where:
+            selections[origin] = tuple(where)
+        else:
+            unnarrowed[origin] = reason
+    return selections, unnarrowed
+
+
 def plan_query(
     integrated: "IntegratedSchema",
     query: "FederatedQuery",
-    schemas: Optional[Container[str]] = None,
+    schemas: "Optional[Container[str] | Mapping[str, Schema]]" = None,
+    mappings: Optional[MappingRegistry] = None,
+    cache_enabled: bool = False,
 ) -> QueryPlan:
-    """Plan *query* against *integrated*: prune + build the pushdown hint.
+    """Plan *query* against *integrated*: prune, then push selections.
 
     *schemas* restricts the scan pairs to component schemas the caller
     can actually reach (the FSM's registered databases); None keeps all
-    origins.
+    origins.  Given as a mapping to each component's exported local
+    schema, it also lets the planner push the query's equalities into
+    the scans of the queried class's origins (resolved through
+    *mappings*, the federation's data-mapping registry).  A runtime
+    with its cache on (*cache_enabled*) never narrows: a cached granule
+    must hold the whole extent.
     """
-    contributing = contributing_classes(integrated, query.class_name)
+    feeds = _rule_feeds(integrated)
+    contributing = contributing_classes(integrated, query.class_name, feeds)
     pruned: List[str] = []
     pairs: List[Tuple[str, str]] = []
     for integrated_class in integrated:
@@ -228,14 +394,30 @@ def plan_query(
         for schema_name, local_class in integrated_class.origins:
             if schemas is None or schema_name in schemas:
                 pairs.append((schema_name, local_class))
-    attributes = list(dict.fromkeys(
-        [name for name, _ in query.where] + list(query.select)
-    ))
-    hint = ScanHint(attributes=tuple(attributes), equalities=tuple(query.where))
+    selections: Dict[Tuple[str, str], Selection] = {}
+    unnarrowed: Dict[Tuple[str, str], str] = {}
+    if query.where and query.class_name in integrated:
+        origins = [
+            origin
+            for origin in integrated.cls(query.class_name).origins
+            if schemas is None or origin[0] in schemas
+        ]
+        if cache_enabled:
+            unnarrowed = dict.fromkeys(origins, "cache on")
+        else:
+            selections, unnarrowed = _selections(
+                integrated,
+                query,
+                origins,
+                schemas if isinstance(schemas, Mapping) else {},
+                mappings if mappings is not None else MappingRegistry(),
+                feeds,
+            )
     return QueryPlan(
         class_name=query.class_name,
         contributing=contributing,
         pruned=tuple(pruned),
         pairs=tuple(dict.fromkeys(pairs)),
-        hint=hint,
+        selections=selections,
+        unnarrowed=unnarrowed,
     )

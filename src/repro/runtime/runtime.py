@@ -58,8 +58,12 @@ granule bound for one endpoint rides a single batched round-trip, and
 the results are re-keyed per granule before they reach the cache — so
 cache keys, warm behaviour and the ``agent_scans`` histogram are
 byte-identical to unplanned runs while ``round_trips`` drops.  The FSM
-additionally hands :meth:`scan_extents` a pushdown hint and prunes the
-pair list through the query planner (:mod:`repro.runtime.planner`).
+additionally prunes the pair list through the query planner
+(:mod:`repro.runtime.planner`) and, when the cache is off, hands
+:meth:`scan_extents` the plan's per-origin selections: each narrowed
+scan asks its component store for only the instances that can match
+the query's equalities.  A narrowed result is never cached — it is not
+the extent a cached granule promises.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ from typing import (
 from ..errors import PartialResultError, RuntimeFederationError
 from ..federation.agent import FSMAgent
 from ..model.instances import ObjectInstance
+from ..model.store import Selection
 from .async_executor import AsyncFederationExecutor, EventLoopThread
 from .async_transport import AsyncAgentTransport, AsyncTransportAdapter
 from .breaker import CircuitBreaker
@@ -94,7 +99,7 @@ from .mp_executor import ProcessPoolTransport, find_hop, wrap_multiprocess
 from .persistence import PersistentExtentStore
 from .policy import FailurePolicy, RuntimePolicy
 from .sharding import ShardPlan, ShardedOutcome, merge_shard_values
-from .transport import AgentTransport, InProcessTransport, ScanHint, ScanRequest
+from .transport import AgentTransport, InProcessTransport, ScanRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..logic.engine import FactStore
@@ -136,10 +141,11 @@ class FederationRuntime:
         *loop* (async mode) is a shared
         :class:`~repro.runtime.async_executor.EventLoopThread` many
         runtimes multiplex their scans on; its owner closes it.  *plan*
-        runs the query planner (pruning, per-endpoint coalescing,
-        pushdown hints); ``plan=False`` reproduces one round-trip per
-        granule.  *deltas* patches stale cached extents from component
-        delta feeds; ``deltas=False`` rescans on any write.
+        runs the query planner (pruning, per-endpoint coalescing, and
+        selection pushdown when the cache is off); ``plan=False``
+        reproduces one round-trip per granule.  *deltas* patches stale
+        cached extents from component delta feeds; ``deltas=False``
+        rescans on any write.
         """
         if mode not in MODES:
             raise RuntimeFederationError(
@@ -220,10 +226,10 @@ class FederationRuntime:
         class_name: str,
         op: str = "direct_extent",
         attribute: Optional[str] = None,
-        hint: Optional[ScanHint] = None,
+        where: Selection = (),
     ) -> ScanRequest:
         agent = self.transport.agent_for_schema(schema_name)
-        return ScanRequest(agent, schema_name, class_name, op, attribute, hint=hint)
+        return ScanRequest(agent, schema_name, class_name, op, attribute, where=where)
 
     # ------------------------------------------------------------------
     # single scans
@@ -273,7 +279,7 @@ class FederationRuntime:
         self,
         pairs: Iterable[Tuple[str, str]],
         op: str = "direct_extent",
-        hint: Optional[ScanHint] = None,
+        selections: Optional[Mapping[Tuple[str, str], Selection]] = None,
         versions: Optional[Dict[Tuple[str, str], EntryVersion]] = None,
     ) -> Dict[Tuple[str, str], List[ObjectInstance]]:
         """Concurrently fetch the extents of many ``(schema, class)`` pairs.
@@ -282,19 +288,38 @@ class FederationRuntime:
         the misses fan out — with planning enabled, coalesced into one
         batched round-trip per endpoint (results are still cached per
         granule under their usual keys, so warm behaviour is unchanged).
-        A *hint* rides on every request as the planner's advisory
-        pushdown.  Failed scans are absent from the mapping under the
-        ``PARTIAL`` policy (callers treat them as empty).
+        Failed scans are absent from the mapping under the ``PARTIAL``
+        policy (callers treat them as empty).
+
+        *selections* maps a pair to its planner selection in the
+        component's local vocabulary.  On a runtime with the cache off,
+        that pair's ``direct_extent`` scan carries it, and the value
+        returned may be any sub-list of the extent that keeps every
+        matching instance (counted in ``scans_narrowed``); with the
+        cache on, selections are ignored and every scan is full.
 
         *versions*, when given, receives the cache entry version each
         returned extent was read from or stored as (unsharded, cached
         runtimes only) — the handle :meth:`lift_slice` takes.
         """
+        if selections and (self.policy.cache_enabled or op != "direct_extent"):
+            selections = None
         requests = [
-            self.request(schema_name, class_name, op, hint=hint)
+            self.request(
+                schema_name,
+                class_name,
+                op,
+                where=selections.get((schema_name, class_name), ())
+                if selections
+                else (),
+            )
             for schema_name, class_name in dict.fromkeys(pairs)
         ]
         self.metrics.incr("requests", len(requests))
+        if selections:
+            narrowed = sum(1 for request in requests if request.where)
+            if narrowed:
+                self.metrics.incr("scans_narrowed", narrowed)
         if self.shard_plan is not None:
             return self._scan_extents_sharded(requests)
         extents: Dict[Tuple[str, str], List[ObjectInstance]] = {}
@@ -446,7 +471,8 @@ class FederationRuntime:
             self.metrics.record("fallback_invalidations", description)
 
     def _cache_put(self, request: ScanRequest, value: Any) -> Optional[EntryVersion]:
-        if not self.policy.cache_enabled:
+        # a narrowed value is not the extent a granule promises
+        if not self.policy.cache_enabled or request.where:
             return None
         return self.cache.put(request, value, self.transport.generation(request))
 

@@ -21,11 +21,13 @@ coalescing).  Transports unpack it granule by granule and return a
 order; the fault model of the simulated network applies once per batch
 — one latency, one drop roll, one scripted-failure attempt — because a
 batch *is* one call on the wire, while the transfer cost still scales
-with the total items carried.  A :class:`ScanHint` rides along as an
-autonomy-preserving pushdown: agents may use the projected attributes
-and equality predicates to narrow their work, but are never required
-to — hints are excluded from request equality and cache keys, so a
-hinted and an unhinted scan share one cache granule.
+with the total items carried.  A ``direct_extent`` request may carry a
+*where* selection in the component's **local** vocabulary (the
+planner's selection pushdown): the component store then materializes
+only the instances that can match.  A narrowed scan may return less
+than the full extent, so its selection is part of request identity and
+cache key — a narrowed and a full scan of one class never share a
+granule.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import RegistrationError, TransportError
 from ..federation.agent import FSMAgent
-from ..model.store import value_set_of
+from ..model.store import Selection, describe_selection, value_set_of
 
 if TYPE_CHECKING:  # sharding imports ScanRequest; only the type flows back
     from .sharding import ShardSpec
@@ -67,39 +69,16 @@ def _prune_scripts(attempts: Dict[Any, int], cap: int) -> None:
 
 
 @dataclasses.dataclass(frozen=True)
-class ScanHint:
-    """Autonomy-preserving pushdown attached to a scan by the planner.
-
-    *attributes* are the projections the query will read; *equalities*
-    are its simple ``attribute = constant`` predicates.  Both are
-    **advisory**: an agent may use them to narrow its work, but the
-    runtime never relies on the narrowing — per-attribute data mappings
-    (fuzzy, conversion functions) translate values between local and
-    global vocabularies, so a constant from the global query cannot be
-    compared against local values at the agent without breaking
-    correctness, and rule bodies may touch attributes the query does
-    not name.  Hints therefore never change what a transport returns;
-    they only tell the component system what the federation is after.
-    """
-
-    attributes: Tuple[str, ...] = ()
-    equalities: Tuple[Tuple[str, Any], ...] = ()
-
-    def describe(self) -> str:
-        parts = list(self.attributes)
-        parts.extend(f"{name}={value!r}" for name, value in self.equalities)
-        return f"hint({', '.join(parts)})"
-
-
-@dataclasses.dataclass(frozen=True)
 class ScanRequest:
     """One agent scan: the unit the executor schedules and the cache keys.
 
     A *shard* coordinate (see :mod:`repro.runtime.sharding`) narrows the
     scan to the slice of the extent that shard owns; unsharded requests
-    leave it None and behave exactly as before.  The *hint* carries the
-    planner's pushdown and is excluded from equality/hashing so hinted
-    and unhinted scans of one granule share cache entries and dedup.
+    leave it None and behave exactly as before.  A *where* selection —
+    ``((local attribute, constant), ...)``, ``direct_extent`` only —
+    lets the store skip instances whose attribute value cannot equal
+    the constant.  Both take part in equality, hashing and
+    :attr:`cache_key`.
     """
 
     agent: str
@@ -108,13 +87,15 @@ class ScanRequest:
     op: str = "direct_extent"
     attribute: Optional[str] = None
     shard: Optional["ShardSpec"] = None
-    hint: Optional[ScanHint] = dataclasses.field(default=None, compare=False)
+    where: Selection = ()
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise TransportError(f"unknown scan op {self.op!r}; choose from {_OPS}")
         if self.op == "value_set" and not self.attribute:
             raise TransportError("value_set scans need an attribute")
+        if self.where and self.op != "direct_extent":
+            raise TransportError("only direct_extent scans take a selection")
 
     @property
     def endpoint(self) -> str:
@@ -140,18 +121,21 @@ class ScanRequest:
         band width — collapsing the coordinate to ``(index, of)`` made
         those distinct slices share one granule, so a runtime whose plan
         changed kind or band served stale slices cut under the old plan.
+        A narrowed scan appends ``("where", selection)``.
         """
-        if self.shard is None:
-            return (self.agent, self.schema, self.class_name)
-        return (
-            self.agent,
-            self.schema,
-            self.class_name,
-            (self.shard.index, self.shard.of, self.shard.kind, self.shard.band),
-        )
+        key: Tuple[Any, ...] = (self.agent, self.schema, self.class_name)
+        if self.shard is not None:
+            key += (
+                (self.shard.index, self.shard.of, self.shard.kind, self.shard.band),
+            )
+        if self.where:
+            key += (("where", self.where),)
+        return key
 
     def describe(self) -> str:
         suffix = f".{self.attribute}" if self.attribute else ""
+        if self.where:
+            suffix += f" where {describe_selection(self.where)}"
         return f"{self.op}({self.endpoint}:{self.schema}.{self.class_name}{suffix})"
 
     @property
@@ -349,7 +333,9 @@ class InProcessTransport(AgentTransport):
         agent = self._agent(request.agent)
         shard = request.shard
         if request.op == "direct_extent":
-            return agent.fetch_direct_extent(request.schema, request.class_name, shard)
+            return agent.fetch_direct_extent(
+                request.schema, request.class_name, shard, request.where
+            )
         if request.op == "extent":
             return agent.fetch_extent(request.schema, request.class_name, shard)
         assert request.attribute is not None
@@ -417,8 +403,8 @@ class FaultInjector(DelegatingTransport):
     :meth:`_roll` decides one call's fate under the lock; the threaded
     and asyncio simulators differ only in how they wait out the delay.
     Scripted failures count attempts per request *as the request
-    compares*: a pushdown hint is excluded from equality, so a hinted
-    and an unhinted scan of one granule share one attempt history.
+    compares*: a narrowed and a full scan of one class are different
+    requests, so each keeps its own attempt history.
     """
 
     def __init__(
@@ -436,9 +422,6 @@ class FaultInjector(DelegatingTransport):
         #: calls that reached this transport, per agent (injected faults
         #: included) — the "network side" view of the access histogram
         self.calls: Dict[str, int] = defaultdict(int)
-        #: granules that arrived carrying a planner pushdown hint, per
-        #: endpoint — proves hints reach the wire without changing results
-        self.hints: Dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     def set_profile(self, agent: str, profile: FaultProfile) -> FaultProfile:
@@ -469,9 +452,6 @@ class FaultInjector(DelegatingTransport):
         profile = self.profile_for(endpoint)
         with self._lock:
             self.calls[endpoint] += 1
-            for granule in request.granules:
-                if granule.hint is not None:
-                    self.hints[endpoint] += 1
             if profile.fail_times > 0:
                 # only scripted endpoints need per-request attempt history;
                 # tracking every healthy request would grow without bound

@@ -82,7 +82,8 @@ class TenantConfig:
     cache_path: Optional[str] = None
     #: simulated per-agent-call latency in milliseconds (demos, benchmarks)
     latency_ms: float = 0.0
-    #: run the query planner (prune + coalesce + hint pushdown) per query
+    #: run the query planner (prune + coalesce, and selection pushdown
+    #: when the cache is off) per query
     plan: bool = True
     #: patch stale cached extents from component delta feeds instead of
     #: rescanning them (``deltas=false`` restores the bump baseline)

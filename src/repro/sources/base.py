@@ -64,7 +64,7 @@ from ..model.datatypes import DataType, conforms
 from ..model.instances import ObjectInstance
 from ..model.oids import OID
 from ..model.schema import Schema
-from ..model.store import value_set_of
+from ..model.store import Selection, value_set_of
 from ..runtime.deltas import DeltaLog, DeltaRecord, SourceDelta
 
 if TYPE_CHECKING:
@@ -262,6 +262,11 @@ class _AttributePlan:
     default: Any
 
 
+#: one selected attribute: its translation plan and the constant its
+#: translated value must equal
+SelectionTest = Tuple[_AttributePlan, Any]
+
+
 class SourceAdapter:
     """Base adapter: §3 transformation + data mappings over stored rows.
 
@@ -457,7 +462,10 @@ class SourceAdapter:
     # §3: rows → O-term instances, through the data mappings
     # ------------------------------------------------------------------
     def scan(
-        self, relation_name: str, shard: Optional["ShardSpec"] = None
+        self,
+        relation_name: str,
+        shard: Optional["ShardSpec"] = None,
+        where: Selection = (),
     ) -> List[ObjectInstance]:
         """Transform the current rows of *relation_name* into instances.
 
@@ -467,6 +475,17 @@ class SourceAdapter:
         pins down.  With a *shard* coordinate, a row's number alone
         decides whether that shard owns its OID, so rows owned elsewhere
         are skipped before any coercion, mapping or FK lookup.
+
+        A *where* selection ``((attribute, constant), ...)`` names
+        attributes of the OO view.  Each selected column of a row is
+        run through the same translation the row would get (coercion,
+        data mapping, NULL default, type check) and the row is kept
+        only when every translated value equals its constant — after
+        the shard test, before the row is materialized.  The result is
+        the full scan filtered on the translated values, in order and
+        with the same OIDs.  A backend may also drop rows in storage
+        first (:meth:`fetch_selected_rows`); unknown attributes and
+        aggregations select nothing away.
         """
         spec = self.relation(relation_name)
         plans = self._attribute_plans(spec)
@@ -475,18 +494,46 @@ class SourceAdapter:
             fk.target_relation: self._pk_index(fk.target_relation)
             for fk in spec.foreign_keys
         }
-        rows = self.fetch_numbered_rows(spec)
+        tests = self._selection_tests(plans, where)
+        rows = (
+            self.fetch_selected_rows(spec, tests)
+            if tests
+            else self.fetch_numbered_rows(spec)
+        )
         if shard is not None:
             owns = shard.number_predicate(
                 self.agent, self.system, self.name, spec.name
             )
             rows = ((number, row) for number, row in rows if owns(number))
+        if tests:
+            rows = (
+                (number, row)
+                for number, row in rows
+                if all(
+                    self._translate(row.get(plan.column), plan, spec.name, number)
+                    == constant
+                    for plan, constant in tests
+                )
+            )
         return [
             self._materialize_row(
                 spec, number, row, plans, fk_by_column, pk_indexes
             )
             for number, row in rows
         ]
+
+    def fetch_selected_rows(
+        self, relation: RelationSpec, tests: Sequence[SelectionTest]
+    ) -> Iterator[Tuple[int, Mapping[str, Any]]]:
+        """``(tuple number, raw row)`` pairs that may pass *tests*.
+
+        Every row whose translated values pass must be yielded, with
+        its :meth:`fetch_numbered_rows` number and in that order; the
+        exact test runs afterwards on what is yielded.  The default
+        yields every row; a backend that can drop rows in storage
+        overrides this.
+        """
+        return self.fetch_numbered_rows(relation)
 
     def _materialize_row(
         self,
@@ -592,6 +639,20 @@ class SourceAdapter:
         with self._lock:
             self._plan_cache[spec.name] = result
         return result
+
+    @staticmethod
+    def _selection_tests(
+        plans: Sequence[_AttributePlan], where: Selection
+    ) -> Tuple[SelectionTest, ...]:
+        """Pair each selected attribute with its translation plan."""
+        if not where:
+            return ()
+        by_target = {plan.target: plan for plan in plans}
+        return tuple(
+            (by_target[name], constant)
+            for name, constant in where
+            if name in by_target
+        )
 
     def _translate(
         self, raw: Any, plan: _AttributePlan, relation: str, number: int
@@ -805,11 +866,14 @@ class SourceDatabase:
 
     # ------------------------------------------------------------------
     def direct_extent(
-        self, class_name: str, shard: Optional["ShardSpec"] = None
+        self,
+        class_name: str,
+        shard: Optional["ShardSpec"] = None,
+        where: Selection = (),
     ) -> List[ObjectInstance]:
         if class_name not in self.schema:
             raise UnknownClassError(class_name, self.schema.name)
-        return self.adapter.scan(class_name, shard)
+        return self.adapter.scan(class_name, shard, where)
 
     def extent(
         self, class_name: str, shard: Optional["ShardSpec"] = None

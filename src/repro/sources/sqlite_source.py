@@ -11,6 +11,10 @@ or exclusively locked by its owner at any moment, and a locked or
 corrupt file must surface as a typed
 :class:`~repro.errors.SourceUnavailableError` for the executor's retry /
 circuit-breaker machinery — never hang a scan thread.
+
+A selected scan narrows in SQL when a selected column's data mapping
+has a finite preimage of the constant (:func:`_sql_narrowing`); the
+exact translated-value test still runs on every row SQL returns.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from pathlib import Path
 from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import SourceConfigError, SourceUnavailableError
+from ..federation.mappings import DefaultMapping, TripleMapping
 from ..federation.relational import Column, ForeignKey
 from ..model.datatypes import DataType
 from ..runtime.deltas import DeltaRecord
-from .base import ColumnMapping, RelationSpec, SourceAdapter
+from .base import ColumnMapping, RelationSpec, SelectionTest, SourceAdapter
 from .fingerprint import FileFingerprinter
 
 #: seconds sqlite waits on a locked database before giving up; kept tiny
@@ -61,6 +66,56 @@ def _column_type(declared: str) -> DataType:
 
 def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
+
+
+#: declared type → (the storage class whose values coerce to themselves,
+#: the Python type of those values)
+_IDENTITY_STORAGE = {
+    DataType.STRING: ("text", str),
+    DataType.INTEGER: ("integer", int),
+}
+
+#: the int range sqlite binds
+_INT64 = range(-(2**63), 2**63)
+
+
+def _sql_narrowing(test: SelectionTest) -> Optional[Tuple[str, List[Any]]]:
+    """A SQL condition every row passing *test* satisfies, or None.
+
+    A row passes when its column, coerced and mapped, equals the
+    constant.  Under a :class:`DefaultMapping` the raw values that do
+    are the constant itself; under a :class:`TripleMapping` they are
+    the ``b`` values of its preimage.  Those are exact only for values
+    stored in the column's identity storage class (text for STRING,
+    integer for INTEGER): ``+col`` strips the column affinity so sqlite
+    compares them without conversion, and rows stored in any other
+    class pass through to the exact test.  NULLs become the default,
+    so they are dropped only when the default cannot match; a default
+    equal to the constant makes the preimage infinite.
+    """
+    plan, constant = test
+    storage = _IDENTITY_STORAGE.get(plan.raw_type)
+    if storage is None or (plan.default is not None and plan.default == constant):
+        return None
+    kind, python_type = storage
+    if type(plan.mapping) is DefaultMapping:
+        preimage: Tuple[Any, ...] = (constant,)
+    elif type(plan.mapping) is TripleMapping:
+        preimage = plan.mapping.preimage(constant)
+    else:
+        return None
+    if any(type(value) is not python_type for value in preimage):
+        return None
+    if python_type is int and any(value not in _INT64 for value in preimage):
+        return None
+    column = _quote(plan.column)
+    match = (
+        f"+{column} IN ({', '.join('?' for _ in preimage)})" if preimage else "0"
+    )
+    return (
+        f"({match} OR typeof({column}) NOT IN ('{kind}', 'null'))",
+        list(preimage),
+    )
 
 
 class SqliteSourceAdapter(SourceAdapter):
@@ -161,6 +216,37 @@ class SqliteSourceAdapter(SourceAdapter):
             )
             for row in cursor:
                 yield dict(zip(names, row))
+
+    def fetch_selected_rows(
+        self, relation: RelationSpec, tests: Sequence[SelectionTest]
+    ) -> Iterator[Tuple[int, Mapping[str, Any]]]:
+        """Drop in SQL the rows no test can pass (see
+        :func:`_sql_narrowing`), numbering rows by ``rowid`` order over
+        the whole relation so OIDs match an unselected scan."""
+        clauses: List[str] = []
+        params: List[Any] = []
+        for test in tests:
+            narrowing = _sql_narrowing(test)
+            if narrowing is not None:
+                clauses.append(narrowing[0])
+                params.extend(narrowing[1])
+        if not clauses:
+            yield from self.fetch_numbered_rows(relation)
+            return
+        names = relation.column_names
+        number = "_number"
+        while number in names:
+            number += "_"
+        select = ", ".join(_quote(name) for name in names)
+        with self._connect() as connection:
+            cursor = connection.execute(
+                f"SELECT * FROM (SELECT row_number() OVER (ORDER BY rowid) "
+                f"AS {_quote(number)}, {select} FROM {_quote(relation.name)}) "
+                f"WHERE {' AND '.join(clauses)} ORDER BY {_quote(number)}",
+                params,
+            )
+            for row in cursor:
+                yield row[0], dict(zip(names, row[1:]))
 
     def count_rows(self, relation_name: str) -> int:
         spec = self.relation(relation_name)

@@ -6,8 +6,11 @@ clock, then checks that both engines report the same failure-model
 counters and the same ``(kind, attempts)`` failure list — and that both
 match the row's expected account.  The last rows pin three defects the
 two engines once shared: a breaker tripping mid-retry misreported the
-failure, a half-open probe ending in a non-retryable error kept its
-slot, and scripted failures keyed on the (advisory) pushdown hint.
+failure, and a half-open probe ending in a non-retryable error kept its
+slot.  Two more pin how planner selections meet the fault model: a
+narrowed scan and a full one are different requests with separate
+scripts, and a query constant that cannot be hashed is never pushed,
+so its scan stays an ordinary request inside the failure model.
 """
 
 import dataclasses
@@ -15,7 +18,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.federation import FSMAgent
+from repro.federation import FSM, FSMAgent
+from repro.federation.query import FederatedQuery
 from repro.model import ClassDef, ObjectDatabase, Schema
 from repro.runtime import (
     AsyncFederationExecutor,
@@ -27,9 +31,9 @@ from repro.runtime import (
     InProcessTransport,
     RuntimeMetrics,
     RuntimePolicy,
-    ScanHint,
     ScanRequest,
     SimulatedNetworkTransport,
+    plan_query,
 )
 
 ENGINES = ("threaded", "async")
@@ -52,10 +56,6 @@ OTHER = ScanRequest("a2", "S2", "person")
 #: routed to an agent nobody registered: the in-process hop raises
 #: RegistrationError, a ReproError the breaker must not count
 GHOST = ScanRequest("ghost", "S1", "person")
-HINTED = dataclasses.replace(EXTENT, hint=ScanHint(("ssn#",), (("ssn#", "S1-0"),)))
-#: a hint constant that cannot be hashed (a list); hints are advisory
-#: and excluded from equality, so the fault model must not hash them
-UNHASHABLE = dataclasses.replace(EXTENT, hint=ScanHint((), (("ssn#", ["S1-0"]),)))
 
 
 def _agents():
@@ -69,6 +69,33 @@ def _agents():
         agent.host_object_database(database)
         agents[agent.name] = agent
     return agents
+
+
+def _planned_scan(constant) -> ScanRequest:
+    """The S1 scan the planner sends for ``person(ssn#=constant)`` on a
+    cache-off runtime over the harness's two agents."""
+    fsm = FSM()
+    for agent in _agents().values():
+        fsm.register_agent(agent)
+    fsm.declare(
+        "assertion S1.person == S2.person\n"
+        "  attr S1.person.ssn# == S2.person.ssn#\nend"
+    )
+    fsm.integrate_all()
+    plan = plan_query(
+        fsm.integrated,
+        FederatedQuery("person", (("ssn#", constant),)),
+        schemas={name: fsm.database(name).schema for name in ("S1", "S2")},
+        mappings=fsm.mappings,
+    )
+    return dataclasses.replace(EXTENT, where=plan.selections.get(("S1", "person"), ()))
+
+
+#: a selection the planner pushed: part of request identity
+NARROWED = _planned_scan("S1-0")
+#: a constant that cannot be hashed (a list) is never pushed, so the
+#: planner's scan is the plain one and hashes like any other request
+UNPUSHED = _planned_scan(["S1-0"])
 
 
 class Harness:
@@ -272,18 +299,18 @@ ROWS = [
         [("transport", 1), ("error", 1), ("error", 1)],
     ),
     Row(
-        "hinted_and_plain_scans_share_a_script",
+        "narrowed_and_plain_scans_keep_separate_scripts",
         _policy(max_retries=0),
         {"a1": FaultProfile(fail_times=1)},
-        lambda harness: (harness.run(HINTED), harness.run(EXTENT)),
-        {"transport_failures": 1, "round_trips": 2, "agent_scans": 2},
-        [("transport", 1)],
+        lambda harness: (harness.run(NARROWED), harness.run(EXTENT)),
+        {"transport_failures": 2, "round_trips": 2, "agent_scans": 2},
+        [("transport", 1), ("transport", 1)],
     ),
     Row(
-        "unhashable_hint_stays_inside_the_failure_model",
+        "unhashable_constant_stays_inside_the_failure_model",
         _policy(max_retries=1),
         {"a1": FaultProfile(fail_times=1)},
-        _runs(UNHASHABLE),
+        _runs(UNPUSHED),
         {"retries": 1, "transport_failures": 1, "round_trips": 2, "agent_scans": 2},
         [],
     ),
@@ -313,6 +340,12 @@ def test_threaded_and_async_engines_give_one_account(row):
     if row.message is not None:
         for engine_messages in (threaded[2], concurrent[2]):
             assert all(row.message in message for message in engine_messages)
+
+
+def test_planner_requests_are_what_the_rows_assume():
+    assert NARROWED.where == (("ssn#", "S1-0"),)
+    assert NARROWED != EXTENT and NARROWED.cache_key != EXTENT.cache_key
+    assert UNPUSHED == EXTENT
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -3,8 +3,8 @@
 Unit coverage for the planning primitives (batch requests, endpoint
 coalescing, the §6 contributing-classes closure) plus end-to-end checks
 of the planned query path: planned answers must equal unplanned answers
-while ``round_trips`` drops strictly; pushdown hints must never change
-request identity or cache keys; and a failed batch must name exactly
+while ``round_trips`` drops strictly; a pushed-down selection is part
+of request identity and cache key; and a failed batch must name exactly
 the granules it lost in ``RuntimeStats.lost_granules``.
 """
 
@@ -20,7 +20,6 @@ from repro.runtime import (
     FederationRuntime,
     InProcessTransport,
     RuntimePolicy,
-    ScanHint,
     ScanRequest,
     SimulatedNetworkTransport,
     coalesce_by_endpoint,
@@ -115,24 +114,49 @@ class TestBatchPrimitives:
         assert len(result) == sum(len(value) for value in expected)
 
 
-class TestHintNeutrality:
-    def test_hint_never_changes_request_identity(self):
-        plain = ScanRequest("a1", "S1", "person0")
-        hinted = ScanRequest(
-            "a1", "S1", "person0",
-            hint=ScanHint(attributes=("ssn#",), equalities=(("grade", 1),)),
-        )
-        assert hinted == plain
-        assert hash(hinted) == hash(plain)
-        assert hinted.cache_key == plain.cache_key
+class _RecordingTransport(InProcessTransport):
+    """Records the selection every granule reaches its agent with."""
 
-    def test_hints_are_delivered_to_the_transport(self, cluster_fsm):
-        runtime, transport = _simulated(cluster_fsm)
-        cluster_fsm.query(CLUSTER_QUERY)
-        # one hinted granule per agent (the plan prunes person1)
-        assert transport.hints == {
-            "agent1": 1, "agent2": 1, "agent3": 1, "agent4": 1
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.selections = {}
+
+    def perform(self, request):
+        if isinstance(request, ScanRequest):
+            self.selections[request.endpoint] = request.where
+        return super().perform(request)
+
+
+class TestSelectionIdentity:
+    def test_selection_is_part_of_request_identity(self):
+        plain = ScanRequest("a1", "S1", "person0")
+        narrowed = ScanRequest("a1", "S1", "person0", where=(("grade", 1),))
+        assert narrowed != plain
+        assert narrowed == ScanRequest("a1", "S1", "person0", where=(("grade", 1),))
+        assert narrowed.cache_key != plain.cache_key
+        assert "grade=1" in narrowed.describe()
+        with pytest.raises(TransportError):
+            ScanRequest("a1", "S1", "person0", "extent", where=(("grade", 1),))
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_selections_are_delivered_to_the_transport(self, cluster_fsm, cache):
+        transport = _RecordingTransport(cluster_fsm._agents, cluster_fsm._schema_host)
+        runtime = FederationRuntime(
+            transport=transport, policy=RuntimePolicy(cache_enabled=cache)
+        )
+        cluster_fsm.use_runtime(runtime=runtime)
+        narrowed = cluster_fsm.query("person0(grade=2) -> ssn#")
+        cluster_fsm.detach_runtime()
+        # one granule per agent (the plan prunes person1); a cached
+        # granule must hold the whole extent, so only cache-off narrows
+        expected = () if cache else (("grade", 2),)
+        assert transport.selections == {
+            f"agent{index}": expected for index in (1, 2, 3, 4)
         }
+        assert runtime.stats().counter("scans_narrowed") == (0 if cache else 4)
+        assert sorted(row["ssn#"] for row in narrowed) == sorted(
+            row["ssn#"] for row in cluster_fsm.query("person0(grade=2) -> ssn#")
+        )
         runtime.close()
 
 
@@ -155,20 +179,27 @@ class TestContributingClasses:
             integrated.classes
         )
 
-    def test_plan_query_builds_pairs_and_hint(self):
+    def test_plan_query_builds_pairs_and_selections(self):
         fsm = _genealogy_fsm()
         query = FederatedQuery.parse(GENEALOGY_QUERY)
-        plan = plan_query(fsm.integrated, query, schemas=set(fsm._schema_host))
+        schemas = {name: fsm.database(name).schema for name in fsm._schema_host}
+        plan = plan_query(fsm.integrated, query, schemas=schemas, mappings=fsm.mappings)
         assert plan.class_name == "uncle"
         assert plan.pruned == ()
         assert set(plan.pairs) == {
             ("S1", "parent"), ("S1", "brother"), ("S2", "uncle")
         }
-        assert plan.hint is not None
-        assert "niece_nephew" in plan.hint.attributes
-        assert ("niece_nephew", "John") in plan.hint.equalities
+        # rules derive uncle, so its own origin must scan in full
+        assert plan.selections == {}
+        assert plan.unnarrowed == {("S2", "uncle"): "rule derives uncle"}
         assert plan.allows("uncle") and not plan.allows("no_such_class")
-        assert "plan(" in plan.describe()
+        assert "full S2.uncle (rule derives uncle)" in plan.describe()
+        cached = plan_query(
+            fsm.integrated, query, schemas=schemas, mappings=fsm.mappings,
+            cache_enabled=True,
+        )
+        assert cached.selections == {}
+        assert cached.unnarrowed == {("S2", "uncle"): "cache on"}
 
 
 class TestRoundTripAccounting:
