@@ -28,8 +28,8 @@ Subcommands:
     async in-flight window; multiprocess runs shard scans in spawned
     worker processes that answer in pickled instance lists), ``--shards N``
     scatters every extent scan across
-    N shard endpoints per agent (``--shard-kind hash|range`` picks the
-    OID partitioning), ``--cache-path FILE`` persists the extent cache
+    N shard endpoints per agent (a hash of each global OID picks its
+    shard), ``--cache-path FILE`` persists the extent cache
     to a sqlite file (a re-run with the same path answers warm without
     touching one agent), ``--plan`` / ``--no-plan`` toggles the query
     planner (assertion-graph pruning, per-endpoint scan coalescing,
@@ -193,12 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(0 disables sharding)",
     )
     query.add_argument(
-        "--shard-kind",
-        choices=("hash", "range"),
-        default="hash",
-        help="how the shard plan partitions global OIDs (default: hash)",
-    )
-    query.add_argument(
         "--cache-path",
         metavar="FILE",
         help="persist the extent cache to a sqlite file; re-running with "
@@ -262,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="add one tenant: comma-separated key=value pairs "
         "(name=, demo=genealogy|cluster, mode=threaded|async|multiprocess, "
         "schema= (repeatable via ';'), assertions=, data=, source-dir=, "
-        "shards=, shard-kind=, latency=MS, max-inflight=, workers=, "
+        "shards=, latency=MS, max-inflight=, workers=, "
         "cache-path=, plan=true|false, deltas=true|false); default: one "
         "async 'genealogy' tenant",
     )
@@ -312,7 +306,6 @@ def _query_config(arguments):
         scan_inflight=arguments.max_inflight,
         max_workers=arguments.workers,
         shards=arguments.shards,
-        shard_kind=arguments.shard_kind,
         cache_path=arguments.cache_path,
         latency_ms=arguments.latency,
         plan=arguments.plan,

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Union
 
 from ..errors import InstanceError, UnknownClassError
+from ..logic.engine import iter_value_elements
 from .instances import ObjectInstance
 from .oids import OID, OIDGenerator
 from .schema import Schema
@@ -23,6 +24,19 @@ from .store import Selection, value_set_of
 
 if TYPE_CHECKING:
     from ..runtime.sharding import ShardSpec
+
+
+def _selected(instance: ObjectInstance, where: Selection) -> bool:
+    """Does *instance* hold every selected value?  Elements are the ones
+    lifting emits for the attribute (:func:`iter_value_elements`), so a
+    kept instance is exactly one whose lifted facts can match."""
+    return all(
+        any(
+            descriptor == name and element == constant
+            for descriptor, element in iter_value_elements(name, instance.get(name))
+        )
+        for name, constant in where
+    )
 
 
 class ObjectDatabase:
@@ -123,13 +137,17 @@ class ObjectDatabase:
         where: Selection = (),
     ) -> List[ObjectInstance]:
         """Instances created directly in *class_name* (no subclasses);
-        with *shard*, only those that shard owns.  *where* is ignored:
-        the instances are already materialized, so every one is kept."""
+        with *shard*, only those that shard owns; with *where*, only
+        those holding, for every ``(attribute, constant)`` pair, a value
+        element equal to the constant (NULL never matches)."""
         if class_name not in self.schema:
             raise UnknownClassError(class_name, self.schema.name)
+        instances = self._extents[class_name]
         if shard is not None:
-            return shard.filter_instances(self._extents[class_name])
-        return list(self._extents[class_name])
+            instances = shard.filter_instances(instances)
+        if where:
+            return [instance for instance in instances if _selected(instance, where)]
+        return list(instances)
 
     def extent(
         self, class_name: str, shard: Optional["ShardSpec"] = None

@@ -19,15 +19,15 @@ query paths and the agents:
   deadlines and a semaphore-bounded in-flight window;
 * :mod:`~repro.runtime.mp_executor` — the multiprocess data plane:
   :class:`ProcessPoolTransport` runs shard scans in ``spawn``-ed worker
-  processes that rehydrate the federation's source adapters from
-  manifest-vocabulary specs and answer in pickled instance lists, so
+  processes that rebuild the federation's disk sources from their
+  manifest entries and answer in pickled instance lists, so
   CPU-bound per-item work escapes the GIL;
 * :mod:`~repro.runtime.sharding` — :class:`ShardPlan` /
   :class:`ShardSpec`: split one schema's extent across N shard
-  endpoints (hash or range over global OIDs) and merge the slices back
+  endpoints (a hash over global OIDs) and merge the slices back
   with OID-level dedup and exact missing-shard reporting;
 * :mod:`~repro.runtime.cache` — the ``(agent, schema, class)`` extent
-  cache (plus an ``(index, of, kind, band)`` coordinate per shard
+  cache (plus an ``(index, of)`` coordinate per shard
   granule) with explicit and generation-based invalidation;
 * :mod:`~repro.runtime.persistence` — the sqlite-backed
   :class:`PersistentExtentStore` the cache spills granules into, so a
@@ -69,17 +69,12 @@ from .executor import (
     expand_outcome,
 )
 from .metrics import RuntimeMetrics, RuntimeStats, TimerStats
-from .mp_executor import (
-    ProcessPoolTransport,
-    build_worker_spec,
-    wrap_multiprocess,
-)
+from .mp_executor import ProcessPoolTransport, wrap_multiprocess
 from .persistence import FORMAT_VERSION, PersistentExtentStore
 from .planner import QueryPlan, contributing_classes, plan_query
 from .policy import FailurePolicy, RuntimePolicy
 from .runtime import MODES, FederationRuntime
 from .sharding import (
-    PLAN_KINDS,
     ShardPlan,
     ShardSpec,
     ShardedOutcome,
@@ -127,7 +122,6 @@ __all__ = [
     "MISS",
     "MODES",
     "OPEN",
-    "PLAN_KINDS",
     "ProcessPoolTransport",
     "PersistentExtentStore",
     "QueryPlan",
@@ -143,7 +137,6 @@ __all__ = [
     "SimulatedNetworkTransport",
     "SourceDelta",
     "TimerStats",
-    "build_worker_spec",
     "coalesce_by_endpoint",
     "contributing_classes",
     "describe_granule",

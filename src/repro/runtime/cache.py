@@ -8,7 +8,7 @@ holding its ``(op, attribute)`` variants), with two invalidation paths:
 
 * **explicit** — :meth:`invalidate` by agent / schema / class, or
   :meth:`clear`;  sharded scans key a *fourth* coordinate —
-  ``(agent, schema, class, (index, of, kind, band))`` — and the
+  ``(agent, schema, class, (index, of))`` — and the
   coordinate match deliberately ignores it, so
   ``invalidate(class_name="person")`` drops every shard granule of that
   class, never just the unsharded one;
@@ -132,7 +132,7 @@ def _copy(value: Any) -> Any:
 
 class ExtentCache:
     """Thread-safe scan cache keyed by ``(agent, schema, class)`` —
-    plus an ``(index, of, kind, band)`` shard coordinate for sharded
+    plus an ``(index, of)`` shard coordinate for sharded
     granules — optionally backed by a persistent on-disk store."""
 
     def __init__(
@@ -457,12 +457,11 @@ class ExtentCache:
         agent's granules, ``invalidate(schema="S1", class_name="person")``
         one class wherever hosted, ``invalidate()`` everything.  Keys are
         3-tuples for unsharded granules and 4-tuples (the extra element
-        being the ``(index, of, kind, band)`` shard coordinate) for
-        sharded ones; a coordinate-only match covers *both* shapes, so a
-        class-level invalidation can never strand a shard granule.  Pass
-        *shard* to narrow the drop to one shard's granules — either the
-        legacy ``(index, of)`` pair, matched as a prefix across every
-        plan kind and band, or the full 4-tuple for one exact plan.
+        being the ``(index, of)`` shard coordinate) for sharded ones; a
+        coordinate-only match covers *both* shapes, so a class-level
+        invalidation can never strand a shard granule.  Pass *shard* —
+        an ``(index, of)`` pair — to narrow the drop to that shard's
+        granules.
         """
         probe = tuple(shard) if shard is not None else None
         with self._lock:
@@ -472,10 +471,7 @@ class ExtentCache:
                 if (agent is None or key[0] == agent)
                 and (schema is None or key[1] == schema)
                 and (class_name is None or key[2] == class_name)
-                and (
-                    probe is None
-                    or (len(key) > 3 and tuple(key[3][: len(probe)]) == probe)
-                )
+                and (probe is None or (len(key) > 3 and key[3] == probe))
             ]
             for key in doomed:
                 for entry in self._granules.pop(key).values():

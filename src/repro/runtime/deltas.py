@@ -203,8 +203,8 @@ def _owned(oid: Any, shard_coord: Optional[Tuple[Any, ...]]) -> bool:
         return True
     from .sharding import shard_of_oid  # lazy: sharding imports transport
 
-    index, of, kind, band = shard_coord
-    return shard_of_oid(oid, of, kind, band) == index
+    index, of = shard_coord
+    return shard_of_oid(oid, of) == index
 
 
 class ExtentPatch(NamedTuple):
@@ -323,7 +323,7 @@ def describe_granule(
     op, attribute = variant
     endpoint = str(key[0])
     if len(key) > 3:
-        index, of = key[3][0], key[3][1]
+        index, of = key[3]
         endpoint = f"{endpoint}#{index}/{of}"
     suffix = f".{attribute}" if attribute else ""
     return f"{op}({endpoint}:{key[1]}.{key[2]}{suffix})"

@@ -8,13 +8,13 @@ the GIL: E-R1/E-R4 show throughput flatlining as workers are added.
 :class:`concurrent.futures.ProcessPoolExecutor` workers:
 
 * :func:`build_worker_spec` captures a picklable description of every
-  hosted component store — native object databases ship by value, disk
-  source adapters ship as their **manifest** description (kind, path,
-  declared relations and §3 data mappings in the ``federation.json``
-  vocabulary), memory source adapters ship a row snapshot — and each
-  worker's initializer rebuilds the agents from that spec, exactly the
-  way :func:`repro.sources.manifest.build_adapter` does from a
-  manifest entry;
+  hosted component store — a sqlite/CSV/JSON source adapter ships as
+  its **manifest entry** (:func:`~repro.sources.manifest.adapter_entry`:
+  kind, path, declared relations and §3 data mappings in the
+  ``federation.json`` vocabulary) and each worker's initializer
+  rebuilds it with :func:`~repro.sources.manifest.build_adapter`, the
+  loader of a source directory; native object databases and memory
+  sources ship by value (rows, tombstones and version included);
 * :class:`ProcessPoolTransport` replaces the innermost
   :class:`~repro.runtime.transport.InProcessTransport` hop of a
   transport chain, dispatching each :class:`Scannable` (a shard
@@ -70,7 +70,6 @@ from .transport import (
 
 __all__ = [
     "ProcessPoolTransport",
-    "build_worker_spec",
     "find_hop",
     "wrap_multiprocess",
 ]
@@ -80,48 +79,11 @@ __all__ = [
 # worker bootstrap specs (everything here must pickle under spawn)
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
-class ObjectStoreSpec:
-    """A native object database, shipped by value (it pickles whole)."""
-
-    schema: str
-    database: Any
-
-
-@dataclasses.dataclass(frozen=True)
-class DiskSourceSpec:
-    """A disk-backed source adapter as its manifest entry: the worker
-    re-opens the same container and re-declares the same relation specs
-    and data mappings, in the ``federation.json`` JSON vocabulary."""
-
-    kind: str
-    path: str
-    name: str
-    agent: str
-    system: str
-    schema: str
-    relations: Optional[Tuple[Any, ...]]
-    mappings: Optional[Tuple[Tuple[str, Tuple[Any, ...]], ...]]
-
-
-@dataclasses.dataclass(frozen=True)
-class MemorySourceSpec:
-    """A memory source adapter: manifest vocabulary plus a row snapshot
-    (tombstones included, so tuple numbering — and OIDs — survive)."""
-
-    name: str
-    agent: str
-    system: str
-    schema: str
-    relations: Tuple[Any, ...]
-    mappings: Optional[Tuple[Tuple[str, Tuple[Any, ...]], ...]]
-    rows: Tuple[Tuple[str, Tuple[Optional[Dict[str, Any]], ...]], ...]
-    version: int
-
-
-@dataclasses.dataclass(frozen=True)
 class AgentSpec:
     name: str
     system: str
+    #: per hosted store: ``(schema, manifest entry)`` for a disk source,
+    #: else the store itself, shipped by value
     stores: Tuple[Any, ...]
 
 
@@ -131,63 +93,16 @@ class WorkerSpec:
     schema_host: Optional[Tuple[Tuple[str, str], ...]]
 
 
-def _mappings_payload(adapter: Any) -> Optional[Tuple[Tuple[str, Tuple[Any, ...]], ...]]:
-    from ..sources.manifest import mapping_to_json
-
-    declared: Mapping[str, Tuple[Any, ...]] = adapter._mappings
-    if not declared:
-        return None
-    return tuple(
-        (relation, tuple(mapping_to_json(mapping) for mapping in mappings))
-        for relation, mappings in declared.items()
-    )
-
-
-def _store_spec(agent_name: str, schema: str, store: Any) -> Any:
-    from ..sources.manifest import relation_to_json
+def _store_spec(store: Any) -> Any:
+    """How a worker gets *store*: a sqlite/CSV/JSON source as its
+    manifest entry plus the hosted schema name; a native object database
+    or a memory source by value (both pickle whole)."""
+    from ..sources.manifest import ADAPTER_KINDS, adapter_entry
 
     adapter = getattr(store, "adapter", None)
-    if adapter is None:
-        return ObjectStoreSpec(schema, store)
-    common = dict(
-        name=adapter.name,
-        agent=adapter.agent,
-        system=adapter.system,
-        schema=schema,
-        mappings=_mappings_payload(adapter),
-    )
-    if adapter.kind == "memory":
-        return MemorySourceSpec(
-            relations=tuple(relation_to_json(spec) for spec in adapter.relations()),
-            rows=tuple(
-                (
-                    relation,
-                    tuple(
-                        dict(row) if row is not None else None for row in slots
-                    ),
-                )
-                for relation, slots in adapter._rows.items()
-            ),
-            version=adapter.source_version(),
-            **common,
-        )
-    path = getattr(adapter, "path", None) or getattr(adapter, "directory", None)
-    if path is None:
-        raise RuntimeFederationError(
-            f"source adapter {adapter.name!r} (kind {adapter.kind!r}) exposes "
-            f"no path/directory; it cannot be rehydrated inside a worker"
-        )
-    declared = adapter._declared
-    return DiskSourceSpec(
-        kind=adapter.kind,
-        path=str(path),
-        relations=(
-            tuple(relation_to_json(spec) for spec in declared)
-            if declared is not None
-            else None
-        ),
-        **common,
-    )
+    if adapter is not None and adapter.kind in ADAPTER_KINDS:
+        return (store.schema.name, adapter_entry(adapter))
+    return store
 
 
 def build_worker_spec(
@@ -198,7 +113,10 @@ def build_worker_spec(
 
     Returns the spec plus the ``(agent, schema) → version`` map observed
     at snapshot time — the staleness fingerprint
-    :class:`ProcessPoolTransport` compares before every dispatch.
+    :class:`ProcessPoolTransport` compares before every dispatch.  A
+    store shipped by value is pickled when a worker starts, after this
+    snapshot, so a worker's copy is never older than its recorded
+    version.
     """
     agent_specs = []
     versions: Dict[Tuple[str, str], Optional[int]] = {}
@@ -206,7 +124,7 @@ def build_worker_spec(
         stores = []
         for schema in agent.schema_names():
             store = agent.database(schema)
-            stores.append(_store_spec(name, schema, store))
+            stores.append(_store_spec(store))
             versions[(name, schema)] = getattr(store, "version", None)
         agent_specs.append(AgentSpec(name, agent.system, tuple(stores)))
     host = tuple(schema_host.items()) if schema_host is not None else None
@@ -219,64 +137,19 @@ def build_worker_spec(
 _WORKER_TRANSPORT: Optional[InProcessTransport] = None
 
 
-def _rebuild_store(spec: Any) -> Any:
-    from ..sources.base import MemorySourceAdapter
-    from ..sources.manifest import (
-        ADAPTER_KINDS,
-        mapping_from_json,
-        relation_from_json,
-    )
-
-    mappings = (
-        {
-            relation: [mapping_from_json(payload) for payload in payloads]
-            for relation, payloads in spec.mappings
-        }
-        if spec.mappings is not None
-        else None
-    )
-    if isinstance(spec, MemorySourceSpec):
-        adapter = MemorySourceAdapter(
-            spec.name,
-            {},
-            [relation_from_json(payload) for payload in spec.relations],
-            mappings=mappings,
-            agent=spec.agent,
-            system=spec.system,
-        )
-        adapter._rows = {
-            relation: [dict(row) if row is not None else None for row in slots]
-            for relation, slots in spec.rows
-        }
-        adapter._version = spec.version
-        return adapter.database(spec.schema)
-    adapter_type = ADAPTER_KINDS[spec.kind]
-    adapter = adapter_type(
-        Path(spec.path),
-        name=spec.name,
-        agent=spec.agent,
-        system=spec.system,
-        relations=(
-            [relation_from_json(payload) for payload in spec.relations]
-            if spec.relations is not None
-            else None
-        ),
-        mappings=mappings,
-    )
-    return adapter.database(spec.schema)
-
-
 def _worker_initialize(spec: WorkerSpec) -> None:
     """Per-process bootstrap: rebuild the agents behind a local transport."""
     global _WORKER_TRANSPORT
+    from ..sources.manifest import build_adapter
+
     agents: Dict[str, FSMAgent] = {}
     for agent_spec in spec.agents:
         agent = FSMAgent(agent_spec.name, system=agent_spec.system)
-        for store_spec in agent_spec.stores:
-            if isinstance(store_spec, ObjectStoreSpec):
-                agent.host_object_database(store_spec.database)
-            else:
-                agent.host_source(_rebuild_store(store_spec))
+        for store in agent_spec.stores:
+            if isinstance(store, tuple):
+                schema, entry = store
+                store = build_adapter(Path(), entry).database(schema)
+            agent.host_source(store)
         agents[agent_spec.name] = agent
     schema_host = dict(spec.schema_host) if spec.schema_host is not None else None
     _WORKER_TRANSPORT = InProcessTransport(agents, schema_host)

@@ -10,7 +10,7 @@ reloaded on construction, so a federation restarted with the same cache
 path warms up without a single agent scan.
 
 Entries are keyed by the **full granule coordinate** — agent, schema,
-class, the shard coordinate ``(index, of, kind, band)`` when sharded,
+class, the shard coordinate ``(index, of)`` when sharded,
 and the ``(op, attribute)`` variant — and stamped with both the cache
 generation and the component database ``version`` observed through
 :meth:`AgentTransport.generation <repro.runtime.transport.AgentTransport.generation>`
@@ -49,10 +49,10 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 #: bump when the table layout or the value encoding changes; files
 #: written under any other version are discarded, never misread
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: one granule coordinate: ``(agent, schema, class)`` or
-#: ``(agent, schema, class, (index, of, kind, band))``
+#: ``(agent, schema, class, (index, of))``
 GranuleKey = Tuple[Any, ...]
 
 #: one entry within a granule: ``(op, attribute)``
@@ -88,18 +88,18 @@ _TABLES = (
 
 
 def _encode_shard(key: GranuleKey) -> str:
-    """The shard column: ``''`` unsharded, ``index/of/kind/band`` sharded."""
+    """The shard column: ``''`` unsharded, ``index/of`` sharded."""
     if len(key) <= 3:
         return ""
-    index, of, kind, band = key[3]
-    return _SHARD_SEPARATOR.join((str(index), str(of), kind, str(band)))
+    index, of = key[3]
+    return f"{index}{_SHARD_SEPARATOR}{of}"
 
 
 def _decode_key(agent: str, schema_name: str, class_name: str, shard: str) -> GranuleKey:
     if not shard:
         return (agent, schema_name, class_name)
-    index, of, kind, band = shard.split(_SHARD_SEPARATOR)
-    return (agent, schema_name, class_name, (int(index), int(of), kind, int(band)))
+    index, of = shard.split(_SHARD_SEPARATOR)
+    return (agent, schema_name, class_name, (int(index), int(of)))
 
 
 class PersistentExtentStore:

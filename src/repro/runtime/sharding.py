@@ -7,23 +7,17 @@ the runtime scatters one :class:`~repro.runtime.transport.ScanRequest`
 per shard and merges the slices back with OID-level dedup, so answers
 scale with data volume instead of schema count.
 
-Two plan kinds partition the global OID space deterministically:
-
-* ``hash`` — a stable CRC32 of the OID's relation coordinate
-  (``agent.system.db.relation``) mixed with its tuple number, modulo
-  the shard count: uniform, order-free, the default;
-* ``range`` — contiguous bands of the per-relation tuple numbers dealt
-  round-robin (band *b*: numbers ``[k·b+1 .. (k+1)·b]`` go to shard
-  ``k mod N``), preserving locality of consecutively-issued OIDs.
-
-Both are pure functions of the OID, so the scatter side (the executor)
-and the owning side agree without shared state: the whole coordinate
-travels inside the request as a :class:`ShardSpec`.  And since §3 gives
-tuple *n* of a relation the OID ``agent.system.db.relation.n``, the
-owner is known from the tuple number alone
-(:meth:`ShardSpec.number_predicate`): ownership is decided **at the
-source, before the transformation**.  A shard endpoint's scan skips the
-rows it does not own before any coercion, data mapping, FK lookup or
+A shard plan partitions the global OID space by hash: a stable CRC32
+of the OID's relation coordinate (``agent.system.db.relation``) mixed
+with its tuple number, modulo the shard count — uniform and order-free.
+The owner is a pure function of the OID, so the scatter side (the
+executor) and the owning side agree without shared state: the whole
+coordinate travels inside the request as a :class:`ShardSpec`.  And
+since §3 gives tuple *n* of a relation the OID
+``agent.system.db.relation.n``, the owner is known from the tuple number
+alone (:meth:`ShardSpec.number_predicate`): ownership is decided **at
+the source, before the transformation**.  A shard endpoint's scan skips
+the rows it does not own before any coercion, data mapping, FK lookup or
 OID construction, so N shards transform the extent once between them
 instead of N times.  In-memory object databases, whose instances exist
 already, filter them with the same formula
@@ -39,10 +33,10 @@ Under the ``partial`` policy the answer lacks exactly that shard's slice
 and ``missing_endpoints`` names it; under ``error`` the query raises.
 
 Merging is the dual of the scatter: extent slices concatenate in shard
-order with duplicates dropped by OID (a retried shard, or an overlapping
-plan, can never double a fact), value-set slices union.  Missing shards
-are reported per logical request so the caller's failure policy can
-either refuse or degrade with an exact account of what is absent.
+order with duplicates dropped by OID (a retried shard can never double
+a fact), value-set slices union.  Missing shards are reported per
+logical request so the caller's failure policy can either refuse or
+degrade with an exact account of what is absent.
 """
 
 from __future__ import annotations
@@ -55,13 +49,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 from ..errors import RuntimeFederationError, ShardMergeError
 from .transport import ScanRequest
 
-#: plan kinds understood by :func:`shard_of_oid`
-PLAN_KINDS = ("hash", "range")
-
-#: default contiguous-OID band width of the ``range`` plan
-DEFAULT_BAND = 32
-
-
 #: one entry per distinct relation coordinate; bounded so long-running
 #: traffic over ever-new relations (dynamic federations, test churn)
 #: cannot grow the memo without limit — eviction only costs a re-CRC
@@ -70,35 +57,30 @@ def _relation_digest(agent: Any, system: Any, database: Any, relation: Any) -> i
     return zlib.crc32(f"{agent}.{system}.{database}.{relation}".encode("utf-8"))
 
 
-def _number_owner(
-    coordinate: Tuple[Any, ...], shards: int, kind: str, band: int
-) -> Callable[[int], int]:
+def _number_owner(coordinate: Tuple[Any, ...], shards: int) -> Callable[[int], int]:
     """Tuple number → owning shard index within one relation.
 
     *coordinate* is ``(agent, system, database, relation)``, the OID
     prefix a §3 transformation gives every tuple of the relation; the
-    returned function is the whole ownership formula.  ``hash`` plans
-    digest the coordinate once here (``hash()`` is salted per
-    interpreter, so a CRC keeps owners stable across processes) and mix
-    in the number per call; ``range`` plans need only the band formula.
+    returned function is the whole ownership formula.  The coordinate
+    is digested once here (``hash()`` is salted per interpreter, so a
+    CRC keeps owners stable across processes) and the number mixed in
+    per call.
     """
     if shards <= 1:
         return lambda number: 0
-    if kind == "range":
-        width = max(band, 1)
-        return lambda number: (max(number - 1, 0) // width) % shards
     digest = _relation_digest(*coordinate)
     # Knuth multiplicative mixing keeps consecutive numbers uniform
     return lambda number: (digest ^ ((number * 0x9E3779B1) & 0xFFFFFFFF)) % shards
 
 
-def _relation_of(oid: Any, kind: str) -> Optional[Tuple[Any, ...]]:
+def _relation_of(oid: Any) -> Optional[Tuple[Any, ...]]:
     """The relation coordinate whose number formula owns *oid*, or None
     when only its string form can decide (Skolem tokens, non-OID
-    identities; a ``range`` plan needs the tuple number alone)."""
+    identities)."""
     number = getattr(oid, "number", None)
     relation = getattr(oid, "relation", None)
-    if not isinstance(number, int) or (relation is None and kind != "range"):
+    if not isinstance(number, int) or relation is None:
         return None
     return (
         getattr(oid, "agent", ""),
@@ -108,8 +90,8 @@ def _relation_of(oid: Any, kind: str) -> Optional[Tuple[Any, ...]]:
     )
 
 
-def shard_of_oid(oid: Any, shards: int, kind: str = "hash", band: int = DEFAULT_BAND) -> int:
-    """The shard index owning *oid* under a (*shards*, *kind*, *band*) plan.
+def shard_of_oid(oid: Any, shards: int) -> int:
+    """The shard index owning *oid* among *shards*.
 
     A §3 OID ``agent.system.db.relation.n`` is owned by its tuple
     number's shard within the relation (:func:`_number_owner`).  Skolem
@@ -118,26 +100,24 @@ def shard_of_oid(oid: Any, shards: int, kind: str = "hash", band: int = DEFAULT_
     """
     if shards <= 1:
         return 0
-    coordinate = _relation_of(oid, kind)
+    coordinate = _relation_of(oid)
     if coordinate is None:
         return zlib.crc32(str(oid).encode("utf-8")) % shards
-    return _number_owner(coordinate, shards, kind, band)(oid.number)
+    return _number_owner(coordinate, shards)(oid.number)
 
 
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
-    """One shard's coordinate: slot *index* of *of*, plus the plan rule.
+    """One shard's coordinate: slot *index* of *of*.
 
     Carried inside :class:`~repro.runtime.transport.ScanRequest` so any
-    transport can decide ownership (:meth:`owns`) without out-of-band
-    plan state; hashable, so sharded requests key caches and retry
+    transport can decide ownership (:meth:`owns`) from the request
+    alone; hashable, so sharded requests key caches and retry
     scripts like any other request.
     """
 
     index: int
     of: int
-    kind: str = "hash"
-    band: int = DEFAULT_BAND
 
     def __post_init__(self) -> None:
         if self.of < 1:
@@ -146,10 +126,6 @@ class ShardSpec:
             raise RuntimeFederationError(
                 f"shard index {self.index} outside [0, {self.of})"
             )
-        if self.kind not in PLAN_KINDS:
-            raise RuntimeFederationError(
-                f"unknown shard plan kind {self.kind!r}; choose from {PLAN_KINDS}"
-            )
 
     @property
     def suffix(self) -> str:
@@ -157,8 +133,8 @@ class ShardSpec:
         return f"#{self.index}/{self.of}"
 
     def owns(self, oid: Any) -> bool:
-        """Does this shard own *oid* under its plan?"""
-        return shard_of_oid(oid, self.of, self.kind, self.band) == self.index
+        """Does this shard own *oid*?"""
+        return shard_of_oid(oid, self.of) == self.index
 
     def number_predicate(
         self, agent: Any, system: Any, database: Any, relation: Any
@@ -169,9 +145,7 @@ class ShardSpec:
         Build it once per scan: a source tests each row's number before
         the §3 transformation, so rows another shard owns cost nothing.
         """
-        owner = _number_owner(
-            (agent, system, database, relation), self.of, self.kind, self.band
-        )
+        owner = _number_owner((agent, system, database, relation), self.of)
         index = self.index
         return lambda number: owner(number) == index
 
@@ -189,7 +163,7 @@ class ShardSpec:
         owned: List[Any] = []
         for instance in instances:
             oid = instance.oid
-            coordinate = _relation_of(oid, self.kind)
+            coordinate = _relation_of(oid)
             if coordinate is None:
                 if self.owns(oid):
                     owned.append(instance)
@@ -207,17 +181,18 @@ class ShardPlan:
     """How one schema's extents split across *shards* agent endpoints."""
 
     shards: int
+    #: the OID partitioning, named by callers such as
+    #: ``ShardPlan(4, "hash")``; hash is the only one, any other raises
     kind: str = "hash"
-    band: int = DEFAULT_BAND
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise RuntimeFederationError(
                 f"a shard plan needs >= 1 shards, got {self.shards}"
             )
-        if self.kind not in PLAN_KINDS:
+        if self.kind != "hash":
             raise RuntimeFederationError(
-                f"unknown shard plan kind {self.kind!r}; choose from {PLAN_KINDS}"
+                f"unknown shard plan kind {self.kind!r}; only 'hash' partitions OIDs"
             )
 
     @classmethod
@@ -228,13 +203,13 @@ class ShardPlan:
         return cls(int(value))
 
     def spec(self, index: int) -> ShardSpec:
-        return ShardSpec(index, self.shards, self.kind, self.band)
+        return ShardSpec(index, self.shards)
 
     def specs(self) -> Tuple[ShardSpec, ...]:
         return tuple(self.spec(index) for index in range(self.shards))
 
     def shard_of(self, oid: Any) -> int:
-        return shard_of_oid(oid, self.shards, self.kind, self.band)
+        return shard_of_oid(oid, self.shards)
 
     def split(self, request: ScanRequest) -> Tuple[ScanRequest, ...]:
         """One shard-coordinated request per shard of *request*.
@@ -264,7 +239,7 @@ def merge_shard_values(op: str, slices: Sequence[Any]) -> Any:
 
     Extent slices concatenate in the given (shard) order with OID-level
     dedup — the first occurrence wins, so a shard that answered twice
-    (retry races, overlapping plans) can never duplicate a fact.
+    (retry races) can never duplicate a fact.
     Value-set slices union.  An instance without an ``.oid`` cannot be
     keyed and raises :class:`~repro.errors.ShardMergeError` — hashing
     the object itself would silently collapse distinct-but-equal facts.

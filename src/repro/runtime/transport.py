@@ -112,22 +112,13 @@ class ScanRequest:
     @property
     def cache_key(self) -> Tuple[Any, ...]:
         """The cache granule: ``(agent, schema, class)`` for unsharded
-        scans, ``(agent, schema, class, (index, of, kind, band))`` per
-        shard.
+        scans, ``(agent, schema, class, (index, of))`` per shard.
 
-        The shard coordinate carries the *whole* plan rule, not just the
-        slot: a hash plan and a range plan with equal ``index``/``of``
-        own different OID subsets, and two range plans differ again by
-        band width — collapsing the coordinate to ``(index, of)`` made
-        those distinct slices share one granule, so a runtime whose plan
-        changed kind or band served stale slices cut under the old plan.
         A narrowed scan appends ``("where", selection)``.
         """
         key: Tuple[Any, ...] = (self.agent, self.schema, self.class_name)
         if self.shard is not None:
-            key += (
-                (self.shard.index, self.shard.of, self.shard.kind, self.shard.band),
-            )
+            key += ((self.shard.index, self.shard.of),)
         if self.where:
             key += (("where", self.where),)
         return key

@@ -78,7 +78,6 @@ class TenantConfig:
     scan_inflight: int = 64
     max_workers: int = 8
     shards: int = 0
-    shard_kind: str = "hash"
     cache_path: Optional[str] = None
     #: simulated per-agent-call latency in milliseconds (demos, benchmarks)
     latency_ms: float = 0.0
@@ -208,9 +207,7 @@ def attach_runtime(
         policy,
         transport=transport,
         mode=config.mode,
-        shard_plan=(
-            ShardPlan(config.shards, config.shard_kind) if config.shards > 0 else None
-        ),
+        shard_plan=ShardPlan(config.shards) if config.shards > 0 else None,
         cache_path=config.cache_path,
         loop=loop,
         plan=config.plan,

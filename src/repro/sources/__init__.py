@@ -29,6 +29,7 @@ from .json_source import JsonSourceAdapter
 from .manifest import (
     ADAPTER_KINDS,
     MANIFEST_NAME,
+    adapter_entry,
     build_adapter,
     load_source_federation,
     write_manifest,
@@ -47,6 +48,7 @@ __all__ = [
     "SourceAdapter",
     "SourceDatabase",
     "SqliteSourceAdapter",
+    "adapter_entry",
     "build_adapter",
     "coerce_value",
     "load_source_federation",

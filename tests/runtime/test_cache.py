@@ -197,36 +197,18 @@ class TestShardGranules:
         assert cache.get(requests[0]) == ["slice"]
         assert cache.get(requests[2]) == ["slice"]
 
-    def test_shard_key_carries_plan_kind_and_band(self):
-        """Regression: the cache key collapsed the shard coordinate to
-        ``(index, of)``, so hash and range plans with equal index/of
-        collided — a runtime whose plan changed kind or band served
-        stale slices cut under the old plan."""
-        logical = ScanRequest("a1", "S1", "person")
-        hash_request = ShardPlan(3, "hash").split(logical)[1]
-        range_request = ShardPlan(3, "range", band=4).split(logical)[1]
-        narrow_band = ShardPlan(3, "range", band=2).split(logical)[1]
-        assert len({r.cache_key for r in (hash_request, range_request, narrow_band)}) == 3
-        cache = ExtentCache()
-        cache.put(hash_request, ["hash slice"])
-        assert cache.get(range_request) is MISS
-        assert cache.get(narrow_band) is MISS
-        assert cache.get(hash_request) == ["hash slice"]
-
     def test_full_shard_coordinate_narrows_to_one_plan(self):
-        """invalidate(shard=...) accepts the legacy ``(index, of)`` pair
-        (a prefix across every plan) or the full 4-tuple for one plan."""
+        """invalidate(shard=...) matches the ``(index, of)`` coordinate
+        exactly: a plan with another shard count keeps its granules."""
         logical = ScanRequest("a1", "S1", "person")
-        hash_request = ShardPlan(3, "hash").split(logical)[1]
-        range_request = ShardPlan(3, "range").split(logical)[1]
+        three = ShardPlan(3).split(logical)[1]
+        four = ShardPlan(4).split(logical)[1]
         cache = ExtentCache()
-        cache.put(hash_request, ["hash"])
-        cache.put(range_request, ["range"])
-        assert cache.invalidate(shard=(1, 3, "range", 32)) == 1
-        assert cache.get(range_request) is MISS
-        assert cache.get(hash_request) == ["hash"]
-        cache.put(range_request, ["range"])
-        assert cache.invalidate(shard=(1, 3)) == 2  # prefix: both plans
+        cache.put(three, ["three"])
+        cache.put(four, ["four"])
+        assert cache.invalidate(shard=(1, 3)) == 1
+        assert cache.get(three) is MISS
+        assert cache.get(four) == ["four"]
 
     def test_runtime_generation_bump_forces_full_rescatter(self):
         schema = Schema("S1")

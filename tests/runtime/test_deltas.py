@@ -26,7 +26,7 @@ from repro.runtime.deltas import (
     describe_granule,
     patch_variant,
 )
-from repro.runtime.sharding import DEFAULT_BAND, shard_of_oid
+from repro.runtime.sharding import shard_of_oid
 from repro.runtime.transport import InProcessTransport
 
 
@@ -184,14 +184,12 @@ class TestPatchExtent:
     def test_shard_coordinate_filters_ownership(self):
         new = FakeInstance(9)
         of = 4
-        owner = shard_of_oid(new.oid, of, "hash", DEFAULT_BAND)
+        owner = shard_of_oid(new.oid, of)
         stranger = (owner + 1) % of
         mine, not_mine = [], []
         record = DeltaRecord("insert", "person", new.oid, new)
-        patch_variant(mine, self.VARIANT, [record], (owner, of, "hash", DEFAULT_BAND))
-        patch_variant(
-            not_mine, self.VARIANT, [record], (stranger, of, "hash", DEFAULT_BAND)
-        )
+        patch_variant(mine, self.VARIANT, [record], (owner, of))
+        patch_variant(not_mine, self.VARIANT, [record], (stranger, of))
         assert mine == [new] and not_mine == []
 
     def test_unknown_variant_is_unpatchable(self):
@@ -246,7 +244,7 @@ class TestDescribeGranule:
         )
 
     def test_sharded_form_names_the_endpoint(self):
-        key = ("a1", "S1", "person", (2, 4, "hash", DEFAULT_BAND))
+        key = ("a1", "S1", "person", (2, 4))
         assert (
             describe_granule(key, ("direct_extent", None))
             == "direct_extent(a1#2/4:S1.person)"

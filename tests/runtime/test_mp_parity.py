@@ -46,7 +46,7 @@ def _answers(rows):
 
 
 class TestMultiprocessAnswerParity:
-    @pytest.mark.parametrize("plan", [None, ShardPlan(2), ShardPlan(3, "range")])
+    @pytest.mark.parametrize("plan", [None, ShardPlan(2)])
     def test_matches_threaded_and_async_cold_and_warm(self, cluster_builder, plan):
         expectations = {}
         for mode in ("threaded", "async", "multiprocess"):

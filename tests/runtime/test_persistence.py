@@ -60,7 +60,7 @@ class TestStorePrimitives:
 
     def test_sharded_key_roundtrip(self, cache_path):
         store = PersistentExtentStore(cache_path)
-        key = ("a1", "S1", "person", (2, 7, "range", 3))
+        key = ("a1", "S1", "person", (2, 7))
         store.put(key, ("direct_extent", None), ["slice"], 0, 1)
         store.close()
         reopened = PersistentExtentStore(cache_path)
@@ -279,15 +279,15 @@ class TestRuntimeWarmRestart:
         cold = {i.oid for i in runtime.direct_extent("S1", "person")}
         runtime.close()
 
-        # the reopened runtime shards by range: the persisted hash-plan
-        # granules must not be served for range-plan coordinates
+        # the reopened runtime shards 3 ways: the persisted 4-shard
+        # granules must not be served for 3-shard coordinates
         restarted_agent, _ = build_single_agent(instances=12)
         restarted = FederationRuntime(
-            agents={"a1": restarted_agent}, shard_plan=ShardPlan(4, "range"),
+            agents={"a1": restarted_agent}, shard_plan=ShardPlan(3, "hash"),
             cache_path=cache_path,
         )
         assert {i.oid for i in restarted.direct_extent("S1", "person")} == cold
-        assert restarted_agent.access_count == 4  # all range shards cold
+        assert restarted_agent.access_count == 3  # all three shards cold
         restarted.close()
 
     def test_async_mode_shares_the_persistent_cache(self, cache_path):

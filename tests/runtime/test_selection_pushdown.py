@@ -13,6 +13,8 @@ These tests pin that the narrowed answers equal the unnarrowed ones
   (``LinearMapping``) column mappings;
 * for constants with no preimage, wrong-typed constants, NULL columns
   filled by a default, and dangling foreign keys;
+* over native object databases, which keep only the instances holding
+  a matching value element;
 * unsharded and over 4 hash shards, threaded, async and multiprocess.
 
 They also pin when the planner must *not* narrow: a rule reading the
@@ -37,6 +39,7 @@ from repro.sources import load_source_federation
 from repro.sources.base import MemorySourceAdapter, RelationSpec
 from repro.workloads import (
     build_memory_databases,
+    federated_cluster,
     generate_source_federation,
     genealogy,
     source_fsm,
@@ -181,6 +184,33 @@ class TestNarrowedAnswersEqualFullAnswers:
             )
         assert answers == expected
         assert narrowed > 0
+
+
+class TestObjectDatabasesNarrow:
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_narrowed_extent_drops_what_cannot_match(self, shards):
+        _, assertions, databases = federated_cluster(schemas=3, per_class=8)
+        store = databases["S1"]
+        store.insert("person0", {"ssn#": "S1-null", "name": "nameless"})
+        where = (("grade", 2),)
+        full = store.direct_extent("person0")
+        narrowed = store.direct_extent("person0", where=where)
+        assert 0 < len(narrowed) < len(full)
+        assert narrowed == [i for i in full if i.get("grade") == 2]
+        for spec in ShardPlan(4).specs():
+            assert store.direct_extent("person0", spec, where) == [
+                i for i in spec.filter_instances(full) if i.get("grade") == 2
+            ]
+        _assert_parity(
+            _fsm(databases, assertions),
+            (
+                "person0(grade=2) -> ssn#",
+                "person0(grade=9) -> ssn#",  # no instance holds it
+                "person0(grade='2') -> ssn#",  # wrong-typed constant
+                "person0(grade=1, name='nameless') -> ssn#",  # NULL grade
+            ),
+            shard_plan=ShardPlan(shards) if shards else None,
+        )
 
 
 class TestWhatStaysFull:

@@ -3,15 +3,16 @@ exactly that shard's slice of the whole extent.
 
 Sources decide ownership from the tuple number before the §3
 transformation, so the slice they build must equal the whole extent
-filtered by OID, in the same order — for every backend, both plan
-kinds and any shard count, including tombstoned numbers after deletes,
-NULL and dangling foreign keys, and fuzzy and conversion mappings.
+filtered by OID, in the same order — for every backend and any shard
+count, including tombstoned numbers after deletes, NULL and dangling
+foreign keys, and fuzzy and conversion mappings.
 """
 
 import collections
 
 import pytest
 
+from repro.errors import RuntimeFederationError
 from repro.federation import FSMAgent
 from repro.model.store import value_set_of
 from repro.runtime import InProcessTransport, ShardPlan, shard_of_oid
@@ -26,11 +27,7 @@ from repro.workloads import (
 
 DISK_KINDS = ("sqlite", "csv", "json")
 
-PLANS = [
-    ShardPlan(shards, kind, band)
-    for shards in (1, 2, 3, 8)
-    for kind, band in (("hash", 32), ("range", 3))
-]
+PLANS = [ShardPlan(shards) for shards in (1, 2, 3, 8)]
 
 
 def _dataset():
@@ -110,12 +107,12 @@ def test_number_predicate_agrees_with_shard_of_oid(stores, plan):
             coordinate = (oid.agent, oid.system, oid.database, oid.relation)
             if coordinate not in predicates:
                 predicates[coordinate] = spec.number_predicate(*coordinate)
-            expected = shard_of_oid(oid, plan.shards, plan.kind, plan.band)
+            expected = shard_of_oid(oid, plan.shards)
             assert predicates[coordinate](oid.number) == (expected == spec.index)
             assert spec.owns(oid) == (expected == spec.index)
 
 
-@pytest.mark.parametrize("plan", [ShardPlan(3), ShardPlan(4, "range", 2)])
+@pytest.mark.parametrize("plan", [ShardPlan(3), ShardPlan(4)])
 def test_object_database_extents_filter_by_the_same_rule(plan):
     _, _, databases = federated_cluster(schemas=2, per_class=9)
     for store in databases.values():
@@ -128,7 +125,7 @@ def test_object_database_extents_filter_by_the_same_rule(plan):
                 )
 
 
-@pytest.mark.parametrize("plan", [ShardPlan(4), ShardPlan(3, "range", 4)])
+@pytest.mark.parametrize("plan", [ShardPlan(4), ShardPlan(3)])
 def test_transport_serves_the_scoped_slice(stores, plan):
     store = stores["sqlite"]["hospital"]
     agent = FSMAgent("agent-hospital", system="component")
@@ -147,3 +144,9 @@ def test_transport_serves_the_scoped_slice(stores, plan):
         )
     # one counted access per shard request, as for any scan
     assert agent.access_count == 3 * plan.shards
+
+
+def test_hash_is_the_only_plan_kind():
+    assert ShardPlan(4, "hash") == ShardPlan(4)
+    with pytest.raises(RuntimeFederationError, match="unknown shard plan kind"):
+        ShardPlan(4, "range")

@@ -92,14 +92,13 @@ class TestQueryJson:
 class TestTenantSpec:
     def test_full_spec(self):
         config = _parse_tenant_spec(
-            "name=t1,demo=cluster,mode=threaded,shards=4,shard-kind=range,"
+            "name=t1,demo=cluster,mode=threaded,shards=4,"
             "latency=2.5,max-inflight=3,workers=2"
         )
         assert config.name == "t1"
         assert config.demo == "cluster"
         assert config.mode == "threaded"
         assert config.shards == 4
-        assert config.shard_kind == "range"
         assert config.latency_ms == 2.5
         assert config.max_inflight == 3
         assert config.max_workers == 2
@@ -117,6 +116,18 @@ class TestTenantSpec:
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ServiceError):
             _parse_tenant_spec(spec)
+
+    def test_shard_kind_is_refused(self):
+        """Hash is the only shard plan: neither front door takes a kind."""
+        with pytest.raises(ServiceError, match="unknown tenant spec keys: shard_kind"):
+            _parse_tenant_spec("name=t,demo=cluster,shards=4,shard-kind=hash")
+        with pytest.raises(SystemExit) as refused:
+            main(
+                ["query", QUERY, "--demo", "genealogy", "--shards", "2",
+                 "--shard-kind", "range"],
+                out=io.StringIO(),
+            )
+        assert refused.value.code == 2
 
 
 class TestServeSubcommand:
