@@ -70,29 +70,12 @@ patched side's ``lift_slices_built`` / ``lift_slices_patched`` /
 patching the lifted slices of the extent it touched: with no fallback
 invalidation in the window, no slice is built again.
 
-**E-R9** (3 heterogeneous component schemas, memory-backed, **no**
-injected latency, cache disabled, 8-way shard plan): the CPU-bound
-data plane — every query round re-runs the real per-item §3 work
-(row deserialization, type coercion, data mappings) once per row,
-each shard granule transforming only the rows it owns (ownership is
-tested on the tuple number before the transformation), plus the
-Appendix-B rule-body join, threaded pool vs ``mode="multiprocess"`` at
-8 workers.  The threaded
-executor serializes all of it on the GIL no matter how many threads it
-owns; the process pool spreads it across cores, its workers answering
-in pickled instance lists.  Answers must be byte-identical; the speedup is recorded
-together with the machine's CPU count, because on few-core boxes (CI
-containers, this very benchmark under ``nproc=1``) there is no
-parallelism for the pool to win and only the parity claim is
-hardware-independent — ``check_regression.py`` gates accordingly.
-
 Runs standalone (``python benchmarks/bench_federation_runtime.py``)
 or under pytest; both emit ``BENCH_runtime.json``.
 """
 
 import http.client
 import json
-import os
 import statistics
 import tempfile
 import threading
@@ -150,13 +133,6 @@ DELTA_WRITE_EVERY = 10  # every 10th operation writes: a 90/10 mix
 DELTA_LATENCY = 0.005  # 5ms per agent call
 DELTA_PEOPLE = 50  # per schema
 DELTA_SEED = 23
-MP_QUERY = "person() -> ssn"
-MP_WORKERS = 8  # pool size for both modes — the acceptance point
-MP_SHARDS = 8
-MP_PEOPLE = 500  # per schema; 3 x (500 + 1500 + 20) = 6060 instances
-MP_RECORDS = 3
-MP_SEED = 47
-MP_ROUNDS = 3
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
 #: fresh component rows for E-R8 — the level column differs per schema
@@ -757,79 +733,6 @@ def run_deltas():
     }
 
 
-def _cpu_count():
-    """CPUs actually usable by this process (affinity-aware)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def run_multiprocess():
-    """E-R9: the GIL plateau — threaded vs multiprocess, no fake latency.
-
-    The per-item cost here is entirely real: memory source adapters
-    re-run the §3 pipeline (deserialization, coercion, TripleMapping /
-    LinearMapping translation, FK → OID resolution) on every scan, each
-    of the 8 shard granules over the rows it owns, the cache is off so
-    every round pays it again, and the query's rule-body join runs on
-    top.  Both modes get the same 8-worker budget; only the multiprocess
-    pool can spend it on more than one core.
-    """
-    cpus = _cpu_count()
-    dataset = generate_source_federation(
-        people_per_schema=MP_PEOPLE,
-        records_per_person=MP_RECORDS,
-        seed=MP_SEED,
-    )
-    databases = build_memory_databases(dataset)
-
-    timings = {}
-    answers = {}
-    for mode in ("threaded", "multiprocess"):
-        fsm = source_fsm(databases, dataset.assertions)
-        fsm.integrate_all()
-        runtime = fsm.use_runtime(
-            RuntimePolicy(max_workers=MP_WORKERS, cache_enabled=False),
-            mode=mode,
-            shard_plan=ShardPlan(MP_SHARDS),
-        )
-        try:
-            # first query outside the priced window: multiprocess pays
-            # its one-time worker spawn + bootstrap here
-            answers[mode] = _rows_key(fsm.query(MP_QUERY))
-            samples = []
-            for _ in range(MP_ROUNDS):
-                started = time.perf_counter()
-                rows = fsm.query(MP_QUERY)
-                samples.append((time.perf_counter() - started) * 1000.0)
-            assert _rows_key(rows) == answers[mode]
-            timings[mode] = statistics.median(samples)
-        finally:
-            runtime.close()
-
-    threaded_ms = timings["threaded"]
-    multiprocess_ms = timings["multiprocess"]
-    return {
-        "experiment": "E-R9 multiprocess data plane vs the GIL plateau",
-        "cpus": cpus,
-        "workers": MP_WORKERS,
-        "shards": MP_SHARDS,
-        "rounds": MP_ROUNDS,
-        "total_instances": dataset.total_instances,
-        "answers": len(answers["threaded"]),
-        "threaded_ms": round(threaded_ms, 3),
-        "multiprocess_ms": round(multiprocess_ms, 3),
-        "threaded_instances_per_s": round(
-            dataset.total_instances / (threaded_ms / 1000.0), 1
-        ),
-        "multiprocess_instances_per_s": round(
-            dataset.total_instances / (multiprocess_ms / 1000.0), 1
-        ),
-        "mp_speedup": round(threaded_ms / multiprocess_ms, 2),
-        "answers_identical": answers["threaded"] == answers["multiprocess"],
-    }
-
-
 def run_all():
     results = run_experiment()
     results["fanout"] = run_fanout_scale()
@@ -839,7 +742,6 @@ def run_all():
     results["planner"] = run_planner()
     results["sources"] = run_sources()
     results["deltas"] = run_deltas()
-    results["mp"] = run_multiprocess()
     return results
 
 
@@ -964,22 +866,6 @@ def test_runtime_latency(benchmark, report):
             ("answers byte-identical", deltas["answers_match"], ""),
         ],
     )
-    mp = results["mp"]
-    report(
-        "E-R9  multiprocess data plane, 8-way shards, real per-item cost",
-        ("metric", "value"),
-        [
-            ("cpus (affinity)", mp["cpus"]),
-            ("workers / shards", f'{mp["workers"]} / {mp["shards"]}'),
-            ("instances", mp["total_instances"]),
-            ("threaded ms", mp["threaded_ms"]),
-            ("multiprocess ms", mp["multiprocess_ms"]),
-            ("threaded instances/s", mp["threaded_instances_per_s"]),
-            ("multiprocess instances/s", mp["multiprocess_instances_per_s"]),
-            ("mp speedup", f'{mp["mp_speedup"]}x'),
-            ("answers byte-identical", mp["answers_identical"]),
-        ],
-    )
     service = results["service"]
     report(
         "E-R5  query service load, 8 keep-alive clients, 4 agents x 5ms",
@@ -1026,12 +912,6 @@ def test_runtime_latency(benchmark, report):
             < entry["planned_round_trips"]
             < entry["unplanned_round_trips"]
         ), entry["federation"]
-    assert mp["answers_identical"]
-    assert mp["threaded_ms"] > 0 and mp["multiprocess_ms"] > 0
-    # the scaling claim only holds where there are cores to scale onto;
-    # below 8 CPUs the speedup stays informational (see check_regression)
-    if mp["cpus"] >= 8:
-        assert mp["mp_speedup"] >= 2.0
 
 
 if __name__ == "__main__":

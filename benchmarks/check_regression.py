@@ -39,12 +39,6 @@ federation runtime's load-bearing numbers regress:
   slice built on the delta side in the mixed-load window while
   ``fallback_invalidations`` is 0 — a write relifted a whole slice
   instead of patching it;
-* in the E-R9 multiprocess section, answers not byte-identical to the
-  threaded run (always fatal), or — CPU-gated, since process pools
-  cannot beat the GIL without cores to scale onto — the multiprocess
-  speedup below the floor (default 2.0) on 8+ CPU machines, below a
-  reduced 1.2 floor on 4–7 CPU machines; under 4 CPUs the speedup is
-  informational only;
 * optionally, drift against a committed baseline file: any gated metric
   worse than ``tolerance`` × baseline fails even above absolute floors.
 
@@ -52,8 +46,7 @@ Usage::
 
     python benchmarks/check_regression.py BENCH_runtime.json \
         --baseline BENCH_baseline.json --min-speedup 3.0 \
-        --min-shard-speedup 1.5 --min-service-rps 20.0 \
-        --min-mp-speedup 2.0 --tolerance 0.5
+        --min-shard-speedup 1.5 --min-service-rps 20.0 --tolerance 0.5
 """
 
 from __future__ import annotations
@@ -80,7 +73,6 @@ def check(
     tolerance: float = 0.5,
     min_shard_speedup: float = 1.5,
     min_service_rps: float = 20.0,
-    min_mp_speedup: float = 2.0,
 ) -> List[str]:
     """Return the list of regression messages (empty = gate passes)."""
     problems: List[str] = []
@@ -304,41 +296,6 @@ def check(
                 "invalidation (a write relifted a slice instead of patching it)"
             )
 
-    mp = fresh.get("mp", {})
-    if not mp:
-        problems.append("mp section is missing (E-R9 did not run)")
-    else:
-        if not mp.get("answers_identical", False):
-            problems.append(
-                "mp answers_identical is false (the multiprocess data "
-                "plane changed an answer — a worker reply or the shard "
-                "merge lost data)"
-            )
-        mp_threaded = mp.get("threaded_ms", 0.0)
-        mp_process = mp.get("multiprocess_ms", 0.0)
-        if not (mp_threaded > 0 and mp_process > 0):
-            problems.append(
-                f"mp timings are threaded={mp_threaded}ms "
-                f"multiprocess={mp_process}ms (E-R9 measured nothing)"
-            )
-        # the scaling floor only binds where there are cores to scale
-        # onto: a 1-CPU box *cannot* show a process pool beating the
-        # GIL, and 4-vCPU CI runners only clear a reduced bar
-        cpus = mp.get("cpus", 0)
-        if cpus >= 8:
-            floor = min_mp_speedup
-        elif cpus >= 4:
-            floor = min(1.2, min_mp_speedup)
-        else:
-            floor = None
-        mp_speedup = mp.get("mp_speedup", 0.0)
-        if floor is not None and mp_speedup < floor:
-            problems.append(
-                f"mp_speedup {mp_speedup} on {cpus} CPUs is below the "
-                f"{floor} floor (the multiprocess data plane no longer "
-                "escapes the GIL plateau)"
-            )
-
     if baseline is not None:
         base_speedup = baseline.get("concurrent_speedup", 0.0)
         if base_speedup > 0 and speedup < base_speedup * tolerance:
@@ -419,21 +376,6 @@ def check(
                     f"{entry.get('federation')} ({fresh_ratio}) fell below "
                     f"{tolerance:.0%} of the committed baseline ({base_ratio})"
                 )
-        base_mp = baseline.get("mp", {})
-        # speedups are only comparable machine-to-machine when both runs
-        # had cores to scale onto
-        if mp and base_mp.get("cpus", 0) >= 8 and mp.get("cpus", 0) >= 8:
-            base_mp_speedup = base_mp.get("mp_speedup", 0.0)
-            fresh_mp_speedup = mp.get("mp_speedup", 0.0)
-            if (
-                base_mp_speedup > 0
-                and fresh_mp_speedup < base_mp_speedup * tolerance
-            ):
-                problems.append(
-                    f"mp_speedup {fresh_mp_speedup} fell below "
-                    f"{tolerance:.0%} of the committed baseline "
-                    f"({base_mp_speedup})"
-                )
     return problems
 
 
@@ -471,14 +413,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="absolute warm service throughput floor in req/s (default: 20.0)",
     )
     parser.add_argument(
-        "--min-mp-speedup",
-        type=float,
-        default=2.0,
-        help="absolute multiprocess-over-threaded speedup floor, enforced "
-        "on 8+ CPU machines (reduced to 1.2 on 4-7 CPUs, informational "
-        "below 4; default: 2.0)",
-    )
-    parser.add_argument(
         "--tolerance",
         type=float,
         default=0.5,
@@ -506,7 +440,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         arguments.tolerance,
         arguments.min_shard_speedup,
         arguments.min_service_rps,
-        arguments.min_mp_speedup,
     )
     if problems:
         print("regression gate FAILED:")
@@ -522,7 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     planner = fresh.get("planner", [])
     sources = fresh.get("sources", {})
     deltas = fresh.get("deltas", {})
-    mp = fresh.get("mp", {})
     planner_summary = " ".join(
         f"planner[{entry.get('federation', '?')}]="
         f"{entry.get('planned_round_trips', '?')}/"
@@ -546,7 +478,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{sources.get('scan_instances_per_s', '?')} scan-rows/s "
         f"deltas={deltas.get('patched_agent_scans', '?')}/"
         f"{deltas.get('bump_agent_scans', '?')} scans "
-        f"mp={mp.get('mp_speedup', '?')}x@{mp.get('cpus', '?')}cpu "
         + planner_summary
     )
     return 0

@@ -22,12 +22,9 @@ Subcommands:
     populated scenarios) or ``--schema`` files plus ``--assertions`` and
     an optional ``--data`` JSON file (``{"S1": {"class": [{...}]}}``).
     ``--latency MS`` simulates per-call network latency, ``--workers`` /
-    ``--sequential`` size the fan-out pool, ``--mode
-    threaded|async|multiprocess`` picks the execution engine (``--async``
-    is shorthand for ``--mode async``; ``--max-inflight`` bounds the
-    async in-flight window; multiprocess runs shard scans in spawned
-    worker processes that answer in pickled instance lists), ``--shards N``
-    scatters every extent scan across
+    ``--sequential`` size the fan-out pool, ``--mode threaded|async``
+    picks the execution engine (``--max-inflight`` bounds the async
+    in-flight window), ``--shards N`` scatters every extent scan across
     N shard endpoints per agent (a hash of each global OID picks its
     shard), ``--cache-path FILE`` persists the extent cache
     to a sqlite file (a re-run with the same path answers warm without
@@ -162,19 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--mode",
-        choices=("threaded", "async", "multiprocess"),
-        default=None,
-        help="execution engine: thread-pool fan-out (default), one asyncio "
-        "event loop, or spawn-based worker processes that answer in "
-        "pickled instance lists (--workers sizes the pool in every mode)",
-    )
-    query.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="alias for --mode async: multiplex agent scans on one asyncio "
-        "event loop instead of a thread pool (same answers, same cache, "
-        "same stats)",
+        choices=("threaded", "async"),
+        default="threaded",
+        help="execution engine: thread-pool fan-out (default) or one asyncio "
+        "event loop multiplexing every agent scan (same answers, same "
+        "cache, same stats)",
     )
     query.add_argument(
         "--max-inflight",
@@ -182,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="concurrent in-flight scans the async executor admits "
-        "(only with --async; default 64)",
+        "(only with --mode async; default 64)",
     )
     query.add_argument(
         "--shards",
@@ -254,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="SPEC",
         help="add one tenant: comma-separated key=value pairs "
-        "(name=, demo=genealogy|cluster, mode=threaded|async|multiprocess, "
+        "(name=, demo=genealogy|cluster, mode=threaded|async, "
         "schema= (repeatable via ';'), assertions=, data=, source-dir=, "
         "shards=, latency=MS, max-inflight=, workers=, "
         "cache-path=, plan=true|false, deltas=true|false); default: one "
@@ -302,7 +291,7 @@ def _query_config(arguments):
         assertions=arguments.assertions,
         data=arguments.data,
         source_dir=arguments.source_dir,
-        mode=arguments.mode or ("async" if arguments.use_async else "threaded"),
+        mode=arguments.mode,
         scan_inflight=arguments.max_inflight,
         max_workers=arguments.workers,
         shards=arguments.shards,

@@ -17,11 +17,6 @@ query paths and the agents:
   fault injection, sleeping on the loop, not a thread) and the
   event-loop driver of the same attempt loop, with ``asyncio.timeout``
   deadlines and a semaphore-bounded in-flight window;
-* :mod:`~repro.runtime.mp_executor` — the multiprocess data plane:
-  :class:`ProcessPoolTransport` runs shard scans in ``spawn``-ed worker
-  processes that rebuild the federation's disk sources from their
-  manifest entries and answer in pickled instance lists, so
-  CPU-bound per-item work escapes the GIL;
 * :mod:`~repro.runtime.sharding` — :class:`ShardPlan` /
   :class:`ShardSpec`: split one schema's extent across N shard
   endpoints (a hash over global OIDs) and merge the slices back
@@ -69,7 +64,6 @@ from .executor import (
     expand_outcome,
 )
 from .metrics import RuntimeMetrics, RuntimeStats, TimerStats
-from .mp_executor import ProcessPoolTransport, wrap_multiprocess
 from .persistence import FORMAT_VERSION, PersistentExtentStore
 from .planner import QueryPlan, contributing_classes, plan_query
 from .policy import FailurePolicy, RuntimePolicy
@@ -122,7 +116,6 @@ __all__ = [
     "MISS",
     "MODES",
     "OPEN",
-    "ProcessPoolTransport",
     "PersistentExtentStore",
     "QueryPlan",
     "RuntimeMetrics",
@@ -146,5 +139,4 @@ __all__ = [
     "shard_of_oid",
     "split_requests",
     "transfer_item_count",
-    "wrap_multiprocess",
 ]

@@ -16,18 +16,13 @@ exposes the scan API the evaluation paths need —
 * :meth:`invalidate` / :meth:`bump_generation` for cache control;
 * :meth:`stats` for the observable autonomy / performance counters.
 
-Three execution modes share this facade and one failure model — the
+Two execution modes share this facade and one failure model — the
 attempt loop of :mod:`~repro.runtime.executor`, stepped by two drivers.
 ``mode="threaded"`` (default) drives it on a thread pool;
 ``mode="async"`` drives it as coroutines on one event loop via
 :class:`~repro.runtime.async_executor.AsyncFederationExecutor`, so
-thousands of slow agents cost timers instead of threads;
-``mode="multiprocess"`` keeps the threaded driver but ships shard scans
-to ``spawn``-ed worker processes through the
-:class:`~repro.runtime.mp_executor.ProcessPoolTransport` spliced into
-the transport chain, so CPU-bound per-item work escapes the GIL; the
-workers answer in pickled instance lists.  All modes feed the same
-:class:`~repro.runtime.metrics.RuntimeMetrics` and
+thousands of slow agents cost timers instead of threads.  Both modes
+feed the same :class:`~repro.runtime.metrics.RuntimeMetrics` and
 :class:`~repro.runtime.cache.ExtentCache` with the same values under
 the same keys, so ``--stats`` output and cache behaviour are identical
 across modes.
@@ -95,7 +90,6 @@ from .breaker import CircuitBreaker
 from .cache import MISS, EntryVersion, ExtentCache, SliceLifter
 from .executor import FederationExecutor, ScanExecutor, ScanOutcome
 from .metrics import RuntimeMetrics, RuntimeStats
-from .mp_executor import ProcessPoolTransport, find_hop, wrap_multiprocess
 from .persistence import PersistentExtentStore
 from .policy import FailurePolicy, RuntimePolicy
 from .sharding import ShardPlan, ShardedOutcome, merge_shard_values
@@ -105,7 +99,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..logic.engine import FactStore
 
 #: accepted FederationRuntime execution modes
-MODES = ("threaded", "async", "multiprocess")
+MODES = ("threaded", "async")
 
 
 class FederationRuntime:
@@ -130,12 +124,11 @@ class FederationRuntime:
         (``FSM.use_runtime``, ``FederationSession.enable_runtime`` and
         the service's tenants forward them unchanged).
 
-        *mode* picks the engine: ``"threaded"`` (thread-pool fan-out),
-        ``"async"`` (one event loop multiplexes every in-flight scan) or
-        ``"multiprocess"`` (shard scans in ``spawn``-ed workers that
-        answer in pickled instance lists).  *shard_plan* — a
-        :class:`~repro.runtime.sharding.ShardPlan` or a bare count —
-        scatters every extent scan across N shard endpoints per agent.
+        *mode* picks the engine: ``"threaded"`` (thread-pool fan-out) or
+        ``"async"`` (one event loop multiplexes every in-flight scan).
+        *shard_plan* — a :class:`~repro.runtime.sharding.ShardPlan` or a
+        bare count — scatters every extent scan across N shard endpoints
+        per agent.
         *cache_path* spills the extent cache to a sqlite file and
         restores it here, so a restarted federation answers warm.
         *loop* (async mode) is a shared
@@ -160,12 +153,10 @@ class FederationRuntime:
             transport = InProcessTransport(agents)
         if mode == "async" and isinstance(transport, AgentTransport):
             transport = AsyncTransportAdapter(transport)
-        if mode in ("threaded", "multiprocess") and isinstance(
-            transport, AsyncAgentTransport
-        ):
+        if mode == "threaded" and isinstance(transport, AsyncAgentTransport):
             raise RuntimeFederationError(
-                f"async transports need mode='async' ({mode} executors "
-                f"cannot await coroutines)"
+                "async transports need mode='async' (threaded executors "
+                "cannot await coroutines)"
             )
         self.transport = transport
         self.policy = policy or RuntimePolicy()
@@ -191,13 +182,6 @@ class FederationRuntime:
             )
         else:
             assert isinstance(transport, AgentTransport)
-            if mode == "multiprocess":
-                # splice the worker pool under any parent-side wrappers,
-                # so fault simulators keep observing every dispatch
-                transport = wrap_multiprocess(
-                    transport, workers=self.policy.max_workers
-                )
-                self.transport = transport
             self.executor = FederationExecutor(
                 transport, self.policy, self.metrics, breaker
             )
@@ -514,9 +498,8 @@ class FederationRuntime:
         return self._closed
 
     def close(self) -> None:
-        """Release executor resources (the async mode's loop thread, the
-        multiprocess mode's worker pool) and the cache's persistent
-        store, when one is attached.
+        """Release executor resources (the async mode's loop thread) and
+        the cache's persistent store, when one is attached.
 
         Idempotent: every exit path (success, error, signal handler) may
         call it, and double closes are no-ops — the CLI and the service
@@ -528,8 +511,4 @@ class FederationRuntime:
         closer = getattr(self.executor, "close", None)
         if closer is not None:
             closer()
-        if self.mode == "multiprocess":
-            pool = find_hop(self.transport, ProcessPoolTransport)
-            assert pool is not None
-            pool.close()
         self.cache.close()

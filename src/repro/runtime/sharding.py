@@ -244,9 +244,8 @@ def merge_shard_values(op: str, slices: Sequence[Any]) -> Any:
     keyed and raises :class:`~repro.errors.ShardMergeError` — hashing
     the object itself would silently collapse distinct-but-equal facts.
 
-    Every mode hands this fold the same instance lists: multiprocess
-    workers pickle theirs back as they are, and warm slices come from
-    the cache.
+    Both modes hand this fold the same instance lists, and warm slices
+    come from the cache.
     """
     if op == "value_set":
         merged: set = set()

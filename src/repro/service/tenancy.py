@@ -38,6 +38,7 @@ from ..runtime import (
     FaultProfile,
     FederationRuntime,
     InProcessTransport,
+    MODES,
     RuntimePolicy,
     RuntimeStats,
     ShardPlan,
@@ -71,8 +72,7 @@ class TenantConfig:
     #: a disk-backed federation: a directory with a ``federation.json``
     #: manifest naming sqlite/CSV/JSON sources (alternative to *demo*)
     source_dir: Optional[str] = None
-    #: execution engine: ``threaded``, ``async`` (shared loop) or
-    #: ``multiprocess`` (spawn-based worker pool, pickled instance lists)
+    #: execution engine: ``threaded`` or ``async`` (shared loop)
     mode: str = "async"
     max_inflight: int = 8
     scan_inflight: int = 64
@@ -91,6 +91,10 @@ class TenantConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServiceError("a tenant needs a non-empty name")
+        if self.mode not in MODES:
+            raise ServiceError(
+                f"tenant {self.name!r} needs mode in {MODES}, got {self.mode!r}"
+            )
         # exactly one source: a demo, a source_dir, or schema files (whose
         # assertions and data travel with them)
         given = [
@@ -185,7 +189,7 @@ def attach_runtime(
 
     In-process agents, with a simulated network wrapped around them when
     the config injects latency.  Async-mode runtimes hand their executor
-    the shared loop; threaded and multiprocess ones keep private pools.
+    the shared loop; threaded ones keep private pools.
     *policy* overrides the one built from the config's pool sizes (the
     CLI passes its ``--sequential`` / ``--no-cache`` policy here).
     """

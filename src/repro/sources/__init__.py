@@ -29,7 +29,6 @@ from .json_source import JsonSourceAdapter
 from .manifest import (
     ADAPTER_KINDS,
     MANIFEST_NAME,
-    adapter_entry,
     build_adapter,
     load_source_federation,
     write_manifest,
@@ -48,7 +47,6 @@ __all__ = [
     "SourceAdapter",
     "SourceDatabase",
     "SqliteSourceAdapter",
-    "adapter_entry",
     "build_adapter",
     "coerce_value",
     "load_source_federation",

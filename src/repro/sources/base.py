@@ -732,23 +732,6 @@ class MemorySourceAdapter(SourceAdapter):
         }
         self._version = 1
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        """Pickle by value: declarations, rows (tombstones included, so
-        tuple numbers and OIDs survive) and version; the lock, the
-        caches and the delta log start empty in the copy."""
-        return (
-            _memory_adapter,
-            (
-                self.name,
-                self.agent,
-                self.system,
-                self._declared,
-                self._mappings,
-                self._rows,
-                self._version,
-            ),
-        )
-
     def discover(self) -> Tuple[RelationSpec, ...]:
         assert self._declared is not None
         return self._declared
@@ -855,23 +838,6 @@ class MemorySourceAdapter(SourceAdapter):
             for referrer in self._referrers(spec.name)
         )
         return self._log_delta(base, self._version, records)
-
-
-def _memory_adapter(
-    name: str,
-    agent: str,
-    system: str,
-    relations: Sequence[RelationSpec],
-    mappings: Mapping[str, Sequence[ColumnMapping]],
-    rows: Dict[str, List[Optional[Dict[str, Any]]]],
-    version: int,
-) -> MemorySourceAdapter:
-    adapter = MemorySourceAdapter(
-        name, {}, relations, mappings, agent=agent, system=system
-    )
-    adapter._rows = rows
-    adapter._version = version
-    return adapter
 
 
 class SourceDatabase:

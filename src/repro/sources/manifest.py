@@ -26,9 +26,7 @@ Mapping kinds mirror the paper's three data-mapping forms: ``default``
 (identity), ``triples`` (fuzzy ``(a, b; χ)`` with a threshold) and
 ``linear`` (the conversion function ``y = a·x + b``).  The module also
 writes manifests (:func:`mapping_to_json` et al.) so the workload
-generators can materialize a federation the loader reads back verbatim,
-and turns a live adapter back into its entry (:func:`adapter_entry`),
-which is how a multiprocess worker rebuilds a disk source.
+generators can materialize a federation the loader reads back verbatim.
 """
 
 from __future__ import annotations
@@ -198,37 +196,6 @@ def build_adapter(
     )
 
 
-def adapter_entry(adapter: SourceAdapter) -> Dict[str, Any]:
-    """*adapter* as its manifest ``sources`` entry: the inverse of
-    :func:`build_adapter`, which rebuilds an adapter scanning the same
-    instances (same OIDs, values and order) from it.
-
-    The path is kept as the adapter holds it, so a relative path stays
-    relative to the working directory, as :func:`build_adapter` reads
-    it with ``Path()`` as its directory.
-    """
-    if adapter.kind not in ADAPTER_KINDS:
-        raise SourceConfigError(
-            f"source {adapter.name!r} of kind {adapter.kind!r} has no manifest form"
-        )
-    location = getattr(adapter, "path", None) or getattr(adapter, "directory")
-    entry: Dict[str, Any] = {
-        "schema": adapter.name,
-        "kind": adapter.kind,
-        "path": str(location),
-        "agent": adapter.agent,
-        "system": adapter.system,
-    }
-    if adapter._declared is not None:
-        entry["relations"] = [relation_to_json(spec) for spec in adapter._declared]
-    if adapter._mappings:
-        entry["mappings"] = {
-            relation: [mapping_to_json(mapping) for mapping in mappings]
-            for relation, mappings in adapter._mappings.items()
-        }
-    return entry
-
-
 def load_source_federation(
     directory: Union[str, Path],
 ) -> Tuple[str, Dict[str, SourceDatabase]]:
@@ -306,7 +273,6 @@ def write_manifest(
 __all__ = [
     "ADAPTER_KINDS",
     "MANIFEST_NAME",
-    "adapter_entry",
     "build_adapter",
     "load_source_federation",
     "mapping_from_json",

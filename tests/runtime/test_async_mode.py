@@ -33,8 +33,9 @@ def _answers(rows):
 class TestModeSwitch:
     def test_unknown_mode_is_rejected(self, cluster_builder):
         fsm = cluster_builder()
-        with pytest.raises(RuntimeFederationError, match="unknown runtime mode"):
-            fsm.use_runtime(mode="fibers")
+        for mode in ("fibers", "multiprocess"):
+            with pytest.raises(RuntimeFederationError, match="unknown runtime mode"):
+                fsm.use_runtime(mode=mode)
 
     def test_async_transport_needs_async_mode(self, cluster_fsm):
         transport = AsyncInProcessTransport(
@@ -147,7 +148,7 @@ class TestSessionAndCli:
 
     def test_cli_async_flag_matches_threaded_answers(self):
         outputs = {}
-        for flag in ([], ["--async"]):
+        for flag in ([], ["--mode", "async"]):
             out = io.StringIO()
             status = main(
                 ["query", QUERY, "--demo", "cluster", *flag, "--stats"], out=out
@@ -171,7 +172,8 @@ class TestSessionAndCli:
                 QUERY,
                 "--demo",
                 "cluster",
-                "--async",
+                "--mode",
+                "async",
                 "--max-inflight",
                 "16",
                 "--repeat",

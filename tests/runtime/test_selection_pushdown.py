@@ -15,7 +15,7 @@ These tests pin that the narrowed answers equal the unnarrowed ones
   filled by a default, and dangling foreign keys;
 * over native object databases, which keep only the instances holding
   a matching value element;
-* unsharded and over 4 hash shards, threaded, async and multiprocess.
+* unsharded and over 4 hash shards, threaded and async.
 
 They also pin when the planner must *not* narrow: a rule reading the
 queried class, an origin of a subclass, and a non-default registry
@@ -110,9 +110,9 @@ def _fsm(databases, assertions):
     return fsm
 
 
-def _runtime_answers(fsm, queries, policy=None, **options):
+def _runtime_answers(fsm, queries, **options):
     """Answers through a runtime, and how many scans it narrowed."""
-    runtime = fsm.use_runtime(policy or RuntimePolicy(cache_enabled=False), **options)
+    runtime = fsm.use_runtime(RuntimePolicy(cache_enabled=False), **options)
     try:
         answers = {query: _canon(fsm.query(query)) for query in queries}
         narrowed = runtime.stats().counter("scans_narrowed")
@@ -141,19 +141,6 @@ class TestNarrowedAnswersEqualFullAnswers:
             fsm = _fsm(_databases(dataset, kind, Path(directory)), dataset.assertions)
             plan = ShardPlan(shards, "hash") if shards else None
             _assert_parity(fsm, mode=mode, shard_plan=plan)
-
-    @pytest.mark.parametrize("kind", ["sqlite-deleted", "memory-deleted"])
-    def test_multiprocess_workers_narrow_alike(self, kind):
-        dataset = _dataset(people=8)
-        with tempfile.TemporaryDirectory() as directory:
-            fsm = _fsm(_databases(dataset, kind, Path(directory)), dataset.assertions)
-            _assert_parity(
-                fsm,
-                QUERIES[:4] + QUERIES[6:7],
-                policy=RuntimePolicy(max_workers=2, cache_enabled=False),
-                mode="multiprocess",
-                shard_plan=ShardPlan(4, "hash"),
-            )
 
     @settings(
         max_examples=8,

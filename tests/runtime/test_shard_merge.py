@@ -1,8 +1,7 @@
 """Shard merges key extent slices by OID and refuse records without one.
 
 :func:`~repro.runtime.sharding.merge_shard_values` folds the per-shard
-instance lists every mode hands it (multiprocess workers pickle theirs
-back as they are) with first-occurrence OID dedup.
+instance lists both modes hand it with first-occurrence OID dedup.
 """
 
 import pytest

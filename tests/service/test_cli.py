@@ -73,7 +73,7 @@ class TestQueryJson:
     def test_async_query_leaves_no_loop_thread(self):
         before = len(_loop_threads())
         status, text = self._run(
-            "query", QUERY, "--demo", "genealogy", "--async", "--json"
+            "query", QUERY, "--demo", "genealogy", "--mode", "async", "--json"
         )
         assert status == 0
         assert json.loads(text)["count"] == 1
@@ -83,7 +83,8 @@ class TestQueryJson:
         before = len(_loop_threads())
         out = io.StringIO()
         status = main(
-            ["query", "uncle(bad", "--demo", "genealogy", "--async"], out=out
+            ["query", "uncle(bad", "--demo", "genealogy", "--mode", "async"],
+            out=out,
         )
         assert status == 1
         assert len(_loop_threads()) == before
@@ -125,6 +126,18 @@ class TestTenantSpec:
             main(
                 ["query", QUERY, "--demo", "genealogy", "--shards", "2",
                  "--shard-kind", "range"],
+                out=io.StringIO(),
+            )
+        assert refused.value.code == 2
+
+    def test_multiprocess_mode_is_refused(self):
+        """Threaded and async are the only engines: both front doors
+        refuse the removed mode before any source loads."""
+        with pytest.raises(ServiceError, match="needs mode in"):
+            _parse_tenant_spec("name=t,demo=cluster,mode=multiprocess")
+        with pytest.raises(SystemExit) as refused:
+            main(
+                ["query", QUERY, "--demo", "genealogy", "--mode", "multiprocess"],
                 out=io.StringIO(),
             )
         assert refused.value.code == 2

@@ -8,7 +8,6 @@ coverage floor.
 """
 
 import datetime
-import pickle
 
 import pytest
 
@@ -202,24 +201,6 @@ class TestStoreFacade:
 
     def test_value_set_skips_nulls(self):
         assert self._store().value_set("department", "title") == {"x"}
-
-    def test_memory_store_pickles_by_value(self):
-        """How a multiprocess worker gets a memory source: tombstoned
-        numbers, the version and the hosted schema survive the copy."""
-        store = self._store()
-        store.adapter.delete_row("person", 1)
-        copy = pickle.loads(pickle.dumps(store))
-        assert copy.version == store.version
-        assert copy.schema.name == store.schema.name
-        for relation in ("department", "person"):
-            assert [
-                (i.oid, i.attributes, i.aggregations)
-                for i in copy.direct_extent(relation)
-            ] == [
-                (i.oid, i.attributes, i.aggregations)
-                for i in store.direct_extent(relation)
-            ]
-        assert [i.oid.number for i in copy.direct_extent("person")] == [2]
 
 
 class TestWeaklyTypedEdges:

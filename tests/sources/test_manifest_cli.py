@@ -8,7 +8,6 @@ answers.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -20,15 +19,11 @@ from repro.model.datatypes import DataType
 from repro.sources import (
     ColumnMapping,
     LinearMapping,
-    MemorySourceAdapter,
     RelationSpec,
-    adapter_entry,
-    build_adapter,
     load_source_federation,
     write_manifest,
 )
 from repro.sources.manifest import (
-    MANIFEST_NAME,
     mapping_from_json,
     mapping_to_json,
     relation_from_json,
@@ -75,55 +70,6 @@ class TestJsonRoundTrips:
         assert reloaded.default == mapping.default
         assert reloaded.data_type == mapping.data_type
         assert type(reloaded.mapping) is type(mapping.mapping)
-
-
-def _scan(database):
-    return [
-        (instance.oid, instance.attributes, instance.aggregations)
-        for class_name in database.schema.class_names
-        for instance in database.direct_extent(class_name)
-    ]
-
-
-class TestAdapterEntry:
-    """:func:`adapter_entry` inverts :func:`build_adapter`: the adapter
-    rebuilt from an entry scans the same instances, in the same order."""
-
-    @pytest.mark.parametrize("kind", ["sqlite", "csv", "json"])
-    def test_rebuilt_adapter_scans_alike(self, tmp_path, small_dataset, kind):
-        write_source_directory(small_dataset, tmp_path, kinds=kind)
-        _, databases = load_source_federation(tmp_path)
-        mapping_kinds = set()
-        for database in databases.values():
-            entry = adapter_entry(database.adapter)
-            assert entry["kind"] == kind and entry["relations"]
-            mapping_kinds.update(
-                payload["kind"]
-                for payloads in entry["mappings"].values()
-                for payload in payloads
-            )
-            rebuilt = build_adapter(Path(), entry).database()
-            assert _scan(rebuilt) and _scan(rebuilt) == _scan(database)
-        assert {"triples", "linear"} <= mapping_kinds
-
-    def test_adapter_named_apart_from_its_hosted_schema(self, tmp_path, small_dataset):
-        write_source_directory(small_dataset, tmp_path, kinds="sqlite")
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        (hospital,) = [e for e in manifest["sources"] if e["schema"] == "hospital"]
-        adapter = build_adapter(tmp_path, {**hospital, "schema": "clinic"})
-        hosted = adapter.database("hospital")
-        entry = adapter_entry(adapter)
-        assert entry["schema"] == "clinic"
-        rebuilt = build_adapter(Path(), entry).database("hospital")
-        assert rebuilt.schema.name == "hospital"
-        assert _scan(rebuilt) == _scan(hosted)
-        assert {oid.database for oid, _, _ in _scan(rebuilt)} == {"clinic"}
-
-    def test_memory_adapter_has_no_entry(self):
-        spec = RelationSpec("person", (Column("ssn", DataType.STRING),))
-        adapter = MemorySourceAdapter("mem", {"person": []}, [spec])
-        with pytest.raises(SourceConfigError, match="no manifest form"):
-            adapter_entry(adapter)
 
 
 class TestLoadErrors:

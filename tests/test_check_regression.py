@@ -97,21 +97,6 @@ def _healthy():
             "answers": 170,
             "answers_match": True,
         },
-        "mp": {
-            "experiment": "E-R9 multiprocess data plane vs the GIL plateau",
-            "cpus": 16,
-            "workers": 8,
-            "shards": 8,
-            "rounds": 3,
-            "total_instances": 6009,
-            "answers": 1500,
-            "threaded_ms": 210.0,
-            "multiprocess_ms": 60.0,
-            "threaded_instances_per_s": 28614.3,
-            "multiprocess_instances_per_s": 100150.0,
-            "mp_speedup": 3.5,
-            "answers_identical": True,
-        },
         "planner": [
             {
                 "federation": "genealogy",
@@ -403,69 +388,6 @@ class TestCheck:
         assert any("lift_slices_built is 2 with no fallback" in p for p in problems)
         doc["deltas"]["fallback_invalidations"] = 1  # a fallback may relift
         assert check_regression.check(doc) == []
-
-    def test_missing_mp_section_fails(self):
-        doc = _healthy()
-        del doc["mp"]
-        assert any(
-            "mp section is missing" in p for p in check_regression.check(doc)
-        )
-
-    def test_mp_answers_must_be_identical_on_any_machine(self):
-        doc = _healthy()
-        doc["mp"]["cpus"] = 1  # even where the speedup floor is waived...
-        doc["mp"]["answers_identical"] = False
-        problems = check_regression.check(doc)
-        assert any("answers_identical is false" in p for p in problems)
-
-    def test_mp_must_have_measured_both_modes(self):
-        doc = _healthy()
-        doc["mp"]["multiprocess_ms"] = 0.0
-        problems = check_regression.check(doc)
-        assert any("measured nothing" in p for p in problems)
-
-    def test_mp_speedup_floor_binds_at_eight_cpus(self):
-        doc = _healthy()
-        doc["mp"]["mp_speedup"] = 1.4
-        problems = check_regression.check(doc)  # cpus=16 in the fixture
-        assert any(
-            "mp_speedup 1.4 on 16 CPUs is below the 2.0 floor" in p
-            for p in problems
-        )
-        assert check_regression.check(doc, min_mp_speedup=1.3) == []
-
-    def test_mp_speedup_floor_relaxes_on_four_cpus(self):
-        doc = _healthy()
-        doc["mp"]["cpus"] = 4
-        doc["mp"]["mp_speedup"] = 1.4  # clears the reduced 1.2 floor
-        assert check_regression.check(doc) == []
-        doc["mp"]["mp_speedup"] = 1.1
-        problems = check_regression.check(doc)
-        assert any("below the 1.2 floor" in p for p in problems)
-
-    def test_mp_speedup_is_informational_below_four_cpus(self):
-        # a 1-CPU box cannot show a process pool beating the GIL; the
-        # committed baseline from such a machine must still pass
-        doc = _healthy()
-        doc["mp"]["cpus"] = 1
-        doc["mp"]["mp_speedup"] = 0.7
-        assert check_regression.check(doc) == []
-
-    def test_mp_speedup_drift_fails_between_big_machines(self):
-        fresh = _healthy()
-        fresh["mp"]["mp_speedup"] = 1.6  # above the 1.3 floor passed below
-        problems = check_regression.check(
-            fresh, _healthy(), min_mp_speedup=1.3
-        )
-        assert any(
-            "mp_speedup 1.6 fell below 50%" in p for p in problems
-        )
-
-    def test_mp_speedup_drift_is_skipped_across_small_machines(self):
-        fresh = _healthy()
-        fresh["mp"]["cpus"] = 2
-        fresh["mp"]["mp_speedup"] = 0.8  # half the baseline's 3.5, but 2 CPUs
-        assert check_regression.check(fresh, _healthy()) == []
 
     def test_sources_scan_throughput_drift_fails(self):
         fresh = _healthy()
