@@ -369,7 +369,7 @@ class SourceAdapter:
         change — their extents embed OIDs looked up in its pk index."""
         return tuple(
             spec.name
-            for spec in self.relations()
+            for spec in self._relation_index().values()
             if any(
                 fk.target_relation == relation_name for fk in spec.foreign_keys
             )

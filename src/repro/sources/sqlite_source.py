@@ -12,24 +12,52 @@ corrupt file must surface as a typed
 :class:`~repro.errors.SourceUnavailableError` for the executor's retry /
 circuit-breaker machinery — never hang a scan thread.
 
+A tuple's number (§3: "in the normal way") is its position in rowid
+order.  Every statement reaches the rowid through the first of
+``rowid``, ``_rowid_``, ``oid`` that no column of the table uses, and a
+``WITHOUT ROWID`` table, which has no storage order to number, is
+refused at discovery.
+
 A selected scan narrows in SQL when a selected column's data mapping
-has a finite preimage of the constant (:func:`_sql_narrowing`); the
-exact translated-value test still runs on every row SQL returns.
+has a bounded preimage of the constant (:func:`_sql_narrowing`): a
+finite value list for default and fuzzy mappings, an integer interval
+for a :class:`~repro.sources.base.LinearMapping` on an INTEGER column.
+The exact translated-value test still runs on every row SQL returns.
+The rows SQL keeps are numbered through a rowid → number map built once
+per ``(relation, source version)`` and read in the same snapshot as the
+rows.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import sqlite3
 from pathlib import Path
-from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import SourceConfigError, SourceUnavailableError
 from ..federation.mappings import DefaultMapping, TripleMapping
 from ..federation.relational import Column, ForeignKey
-from ..model.datatypes import DataType
+from ..model.datatypes import DataType, conforms
 from ..runtime.deltas import DeltaRecord
-from .base import ColumnMapping, RelationSpec, SelectionTest, SourceAdapter
+from .base import (
+    ColumnMapping,
+    LinearMapping,
+    RelationSpec,
+    SelectionTest,
+    SourceAdapter,
+)
 from .fingerprint import FileFingerprinter
 
 #: seconds sqlite waits on a locked database before giving up; kept tiny
@@ -68,15 +96,94 @@ def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
-#: declared type → (the storage class whose values coerce to themselves,
-#: the Python type of those values)
+#: declared type → (the Python type of values stored in the storage
+#: class that coerces to itself, a condition on column ``{0}`` true for
+#: every non-NULL value stored in another class).  ``+`` strips the
+#: column affinity, so values compare as stored, and sqlite orders
+#: numbers < text < blobs: two comparisons find the non-text values
+#: more cheaply than ``typeof`` on every row.  Reals sort among
+#: integers, so INTEGER needs ``typeof``.
 _IDENTITY_STORAGE = {
-    DataType.STRING: ("text", str),
-    DataType.INTEGER: ("integer", int),
+    DataType.STRING: (str, "+{0} < '' OR +{0} >= x''"),
+    DataType.INTEGER: (int, "typeof({0}) NOT IN ('integer', 'null')"),
 }
 
 #: the int range sqlite binds
 _INT64 = range(-(2**63), 2**63)
+
+#: the names that reach a table's rowid, in the order tried; a column
+#: of the same name (compared case-insensitively) shadows one
+_ROWID_ALIASES = ("rowid", "_rowid_", "oid")
+
+#: the integers a float holds exactly; a linear interval must lie within
+_EXACT_FLOAT_INTS = 2**53
+
+
+def _rowid_alias(connection: sqlite3.Connection, source: str, table: str) -> str:
+    """The name that reaches *table*'s rowid.
+
+    Raises :class:`~repro.errors.SourceConfigError` when the table has
+    none (``WITHOUT ROWID``) or every alias is a column name: its rows
+    then have no storage order to number.
+    """
+    used = {
+        str(row[1]).lower()
+        for row in connection.execute(f"PRAGMA table_info({_quote(table)})")
+    }
+    alias = next((name for name in _ROWID_ALIASES if name not in used), None)
+    if alias is not None:
+        try:
+            connection.execute(f"SELECT {alias} FROM {_quote(table)} LIMIT 0")
+            return alias
+        except sqlite3.OperationalError as error:
+            if "no such column" not in str(error):
+                raise
+    raise SourceConfigError(
+        f"sqlite source {source!r}: table {table!r} has no reachable rowid "
+        f"(WITHOUT ROWID, or columns named {', '.join(_ROWID_ALIASES)}), so "
+        f"its rows have no storage order to number"
+    )
+
+
+def _linear_interval(
+    mapping: LinearMapping, constant: Any, target_type: DataType
+) -> Optional[Tuple[int, int]]:
+    """An integer interval holding every stored integer *x* whose
+    ``mapping.translate(x)`` equals *constant*, or None.
+
+    The real-valued preimage of the constant (of ``[c - ½, c + ½]``
+    when the mapping rounds) is widened by one integer on each side.
+    ``translate`` is monotone in *x* — every float step in it is
+    correctly rounded — so checking that the two bounds map strictly
+    past the constant proves that no integer outside the interval can
+    map onto it, whatever the rounding error of the division.  Bounds
+    beyond ±2**53, where floats skip integers, give None, and so do a
+    constant mapping, mapped values that could overflow, and mapped
+    values that do not conform to *target_type* (the exact test raises
+    on those rows, so SQL must not drop them).
+    """
+    a, b = mapping.a, mapping.b
+    numeric = (int, float)
+    if not (type(a) in numeric and type(b) in numeric and type(constant) in numeric):
+        return None
+    if a == 0 or not math.isfinite(abs(a) * 2.0**63 + abs(b)):
+        return None
+    half = 0.5 if mapping.as_int else 0.0
+    try:
+        ends = sorted(((constant - half - b) / a, (constant + half - b) / a))
+    except OverflowError:  # an int constant beyond the float range
+        return None
+    if not all(math.isfinite(end) for end in ends):
+        return None
+    low, high = math.floor(ends[0]) - 1, math.ceil(ends[1]) + 1
+    if low < -_EXACT_FLOAT_INTS or high > _EXACT_FLOAT_INTS:
+        return None
+    under, over = (low, high) if a > 0 else (high, low)
+    if not conforms(mapping.translate(low), target_type):
+        return None
+    if not mapping.translate(under) < constant < mapping.translate(over):
+        return None
+    return low, high
 
 
 def _sql_narrowing(test: SelectionTest) -> Optional[Tuple[str, List[Any]]]:
@@ -85,19 +192,32 @@ def _sql_narrowing(test: SelectionTest) -> Optional[Tuple[str, List[Any]]]:
     A row passes when its column, coerced and mapped, equals the
     constant.  Under a :class:`DefaultMapping` the raw values that do
     are the constant itself; under a :class:`TripleMapping` they are
-    the ``b`` values of its preimage.  Those are exact only for values
-    stored in the column's identity storage class (text for STRING,
-    integer for INTEGER): ``+col`` strips the column affinity so sqlite
-    compares them without conversion, and rows stored in any other
-    class pass through to the exact test.  NULLs become the default,
-    so they are dropped only when the default cannot match; a default
-    equal to the constant makes the preimage infinite.
+    the ``b`` values of its preimage; under a :class:`LinearMapping` on
+    an INTEGER column they lie in :func:`_linear_interval`.  Those are
+    exact only for values stored in the column's identity storage class
+    (text for STRING, integer for INTEGER): ``+col`` strips the column
+    affinity so sqlite compares them without conversion, and rows
+    stored in any other class pass through to the exact test.  NULLs
+    become the default, so they are dropped only when the default
+    cannot match; a default equal to the constant makes the preimage
+    infinite.
     """
     plan, constant = test
     storage = _IDENTITY_STORAGE.get(plan.raw_type)
     if storage is None or (plan.default is not None and plan.default == constant):
         return None
-    kind, python_type = storage
+    python_type, other_classes = storage
+    column = _quote(plan.column)
+    passthrough = other_classes.format(column)
+    if type(plan.mapping) is LinearMapping:
+        interval = (
+            _linear_interval(plan.mapping, constant, plan.target_type)
+            if python_type is int
+            else None
+        )
+        if interval is None:
+            return None
+        return f"(+{column} BETWEEN ? AND ? OR {passthrough})", list(interval)
     if type(plan.mapping) is DefaultMapping:
         preimage: Tuple[Any, ...] = (constant,)
     elif type(plan.mapping) is TripleMapping:
@@ -108,14 +228,10 @@ def _sql_narrowing(test: SelectionTest) -> Optional[Tuple[str, List[Any]]]:
         return None
     if python_type is int and any(value not in _INT64 for value in preimage):
         return None
-    column = _quote(plan.column)
     match = (
         f"+{column} IN ({', '.join('?' for _ in preimage)})" if preimage else "0"
     )
-    return (
-        f"({match} OR typeof({column}) NOT IN ('{kind}', 'null'))",
-        list(preimage),
-    )
+    return f"({match} OR {passthrough})", list(preimage)
 
 
 class SqliteSourceAdapter(SourceAdapter):
@@ -141,6 +257,10 @@ class SqliteSourceAdapter(SourceAdapter):
             relations=relations,
             mappings=mappings,
         )
+        # relation -> the name that reaches its rowid (_ROWID_ALIASES)
+        self._rowid_names: Dict[str, str] = {}
+        # relation -> (source version, rowid -> tuple number)
+        self._number_cache: Dict[str, Tuple[int, Dict[int, int]]] = {}
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager
@@ -183,6 +303,7 @@ class SqliteSourceAdapter(SourceAdapter):
                 ).fetchall()
                 if not info:  # pragma: no cover - catalog/table race
                     continue
+                _rowid_alias(connection, self.name, table)
                 columns = tuple(
                     Column(row[1], _column_type(row[2])) for row in info
                 )
@@ -207,12 +328,23 @@ class SqliteSourceAdapter(SourceAdapter):
             )
         return tuple(specs)
 
+    def _rowid(self, connection: sqlite3.Connection, table: str) -> str:
+        """The name that reaches *table*'s rowid (resolved once)."""
+        with self._lock:
+            name = self._rowid_names.get(table)
+        if name is None:
+            name = _rowid_alias(connection, self.name, table)
+            with self._lock:
+                self._rowid_names[table] = name
+        return name
+
     def fetch_rows(self, relation: RelationSpec) -> Iterator[Mapping[str, Any]]:
         names = relation.column_names
         select = ", ".join(_quote(name) for name in names)
         with self._connect() as connection:
+            rowid = self._rowid(connection, relation.name)
             cursor = connection.execute(
-                f"SELECT {select} FROM {_quote(relation.name)} ORDER BY rowid"
+                f"SELECT {select} FROM {_quote(relation.name)} ORDER BY {rowid}"
             )
             for row in cursor:
                 yield dict(zip(names, row))
@@ -221,8 +353,16 @@ class SqliteSourceAdapter(SourceAdapter):
         self, relation: RelationSpec, tests: Sequence[SelectionTest]
     ) -> Iterator[Tuple[int, Mapping[str, Any]]]:
         """Drop in SQL the rows no test can pass (see
-        :func:`_sql_narrowing`), numbering rows by ``rowid`` order over
-        the whole relation so OIDs match an unselected scan."""
+        :func:`_sql_narrowing`) and number the rest through the
+        relation's rowid → number map (:meth:`_row_numbers`), so OIDs
+        match an unselected scan.
+
+        The rows, the source version that keys the map and, when the
+        cached map is stale, its rebuild all come from one read
+        transaction: the row SELECT takes the shared lock, and in
+        sqlite's default rollback-journal mode no writer can commit
+        while it is held.
+        """
         clauses: List[str] = []
         params: List[Any] = []
         for test in tests:
@@ -234,19 +374,36 @@ class SqliteSourceAdapter(SourceAdapter):
             yield from self.fetch_numbered_rows(relation)
             return
         names = relation.column_names
-        number = "_number"
-        while number in names:
-            number += "_"
         select = ", ".join(_quote(name) for name in names)
         with self._connect() as connection:
+            rowid = self._rowid(connection, relation.name)
+            connection.execute("BEGIN")
             cursor = connection.execute(
-                f"SELECT * FROM (SELECT row_number() OVER (ORDER BY rowid) "
-                f"AS {_quote(number)}, {select} FROM {_quote(relation.name)}) "
-                f"WHERE {' AND '.join(clauses)} ORDER BY {_quote(number)}",
+                f"SELECT {rowid}, {select} FROM {_quote(relation.name)} "
+                f"WHERE {' AND '.join(clauses)} ORDER BY {rowid}",
                 params,
             )
+            numbers = self._row_numbers(connection, relation.name, rowid)
             for row in cursor:
-                yield row[0], dict(zip(names, row[1:]))
+                yield numbers[row[0]], dict(zip(names, row[1:]))
+
+    def _row_numbers(
+        self, connection: sqlite3.Connection, table: str, rowid: str
+    ) -> Dict[int, int]:
+        """rowid → tuple number for the snapshot *connection* reads,
+        cached per source version the way ``_pk_index`` caches."""
+        version = self.source_version()
+        with self._lock:
+            cached = self._number_cache.get(table)
+            if cached is not None and cached[0] == version:
+                return cached[1]
+        cursor = connection.execute(
+            f"SELECT {rowid} FROM {_quote(table)} ORDER BY {rowid}"
+        )
+        numbers = {value: number for number, (value,) in enumerate(cursor, start=1)}
+        with self._lock:
+            self._number_cache[table] = (version, numbers)
+        return numbers
 
     def count_rows(self, relation_name: str) -> int:
         spec = self.relation(relation_name)
@@ -294,9 +451,12 @@ class SqliteSourceAdapter(SourceAdapter):
         finally:
             connection.close()
 
-    def _rowid_of(self, connection: sqlite3.Connection, spec, number: int) -> int:
+    def _rowid_of(
+        self, connection: sqlite3.Connection, spec: RelationSpec, number: int
+    ) -> int:
+        rowid = self._rowid(connection, spec.name)
         row = connection.execute(
-            f"SELECT rowid FROM {_quote(spec.name)} ORDER BY rowid "
+            f"SELECT {rowid} FROM {_quote(spec.name)} ORDER BY {rowid} "
             f"LIMIT 1 OFFSET ?",
             (number - 1,),
         ).fetchone()
@@ -307,74 +467,109 @@ class SqliteSourceAdapter(SourceAdapter):
             )
         return int(row[0])
 
+    def _stored_row(
+        self, connection: sqlite3.Connection, spec: RelationSpec, rowid: object
+    ) -> Optional[Dict[str, Any]]:
+        """The raw row at *rowid*, or None when no row is stored there."""
+        row = connection.execute(
+            f"SELECT {', '.join(_quote(name) for name in spec.column_names)} "
+            f"FROM {_quote(spec.name)} "
+            f"WHERE {self._rowid(connection, spec.name)} = ?",
+            (rowid,),
+        ).fetchone()
+        return None if row is None else dict(zip(spec.column_names, row))
+
+    def _with_referrers(
+        self, spec: RelationSpec, records: List[DeltaRecord]
+    ) -> List[DeltaRecord]:
+        return records + [
+            DeltaRecord("rescan", referrer) for referrer in self._referrers(spec.name)
+        ]
+
     def insert_row(self, relation_name: str, row: Mapping[str, Any]) -> int:
-        """Insert one row and log the delta (new rows land at the tail,
-        so the insert is patchable — positional numbering is preserved)."""
+        """Insert one row and log the delta.
+
+        A row that lands at the rowid tail takes the next tuple number
+        and is logged as a patchable insert of the row as stored
+        (assigned keys, column defaults and affinity applied).  A row
+        whose rowid falls below the tail (an explicit INTEGER PRIMARY
+        KEY) renumbers every later row, so its relation is marked for
+        rescan instead.
+        """
         spec = self.relation(relation_name)
         base = self.source_version()
         columns = [name for name in spec.column_names if name in row]
         with self._connect_rw() as connection:
-            connection.execute(
+            rowid = self._rowid(connection, spec.name)
+            cursor = connection.execute(
                 f"INSERT INTO {_quote(spec.name)} "
                 f"({', '.join(_quote(name) for name in columns)}) "
                 f"VALUES ({', '.join('?' for _ in columns)})",
                 [row[name] for name in columns],
             )
-        number = self.count_rows(relation_name)
-        records = [
-            DeltaRecord(
-                "insert",
-                spec.name,
-                self._oid(spec.name, number),
-                self._lift_row(spec, number, dict(row)),
+            at_tail, number = connection.execute(
+                f"SELECT max({rowid}) = ?, count(*) FROM {_quote(spec.name)}",
+                (cursor.lastrowid,),
+            ).fetchone()
+            stored = (
+                self._stored_row(connection, spec, cursor.lastrowid)
+                if at_tail
+                else None
             )
-        ]
-        records.extend(
-            DeltaRecord("rescan", referrer)
-            for referrer in self._referrers(spec.name)
+        if stored is None:  # rows after the new one renumber
+            records = [DeltaRecord("rescan", spec.name)]
+        else:
+            records = [
+                DeltaRecord(
+                    "insert",
+                    spec.name,
+                    self._oid(spec.name, number),
+                    self._lift_row(spec, number, stored),
+                )
+            ]
+        # a new pk value may resolve dangling references into it
+        return self._log_delta(
+            base, self.source_version(), self._with_referrers(spec, records)
         )
-        return self._log_delta(base, self.source_version(), records)
 
     def update_row(
         self, relation_name: str, number: int, changes: Mapping[str, Any]
     ) -> int:
-        """Update row *number* (1-based storage order) and log the delta."""
+        """Update row *number* (1-based storage order) and log the delta.
+
+        The delta carries the row as stored after the update.  An update
+        that changes the row's rowid (an INTEGER PRIMARY KEY) moves it
+        in storage order and renumbers rows, so its relation is marked
+        for rescan instead of patched.
+        """
         spec = self.relation(relation_name)
         base = self.source_version()
-        pk_moved = False
         with self._connect_rw() as connection:
             rowid = self._rowid_of(connection, spec, number)
-            current = connection.execute(
-                f"SELECT {', '.join(_quote(name) for name in spec.column_names)} "
-                f"FROM {_quote(spec.name)} WHERE rowid = ?",
-                (rowid,),
-            ).fetchone()
-            stored = dict(zip(spec.column_names, current))
-            pk_moved = (
-                spec.primary_key in changes
-                and changes[spec.primary_key] != stored.get(spec.primary_key)
-            )
-            stored.update(changes)
+            before = self._stored_row(connection, spec, rowid)
             assignments = ", ".join(
                 f"{_quote(name)} = ?" for name in changes
             )
             connection.execute(
-                f"UPDATE {_quote(spec.name)} SET {assignments} WHERE rowid = ?",
+                f"UPDATE {_quote(spec.name)} SET {assignments} "
+                f"WHERE {self._rowid(connection, spec.name)} = ?",
                 [*changes.values(), rowid],
             )
-        records = [
-            DeltaRecord(
-                "update",
-                spec.name,
-                self._oid(spec.name, number),
-                self._lift_row(spec, number, stored),
-            )
-        ]
-        if pk_moved:
-            records.extend(
-                DeltaRecord("rescan", referrer)
-                for referrer in self._referrers(spec.name)
-            )
+            stored = self._stored_row(connection, spec, rowid)
+        if stored is None:  # the row left its rowid
+            records = [DeltaRecord("rescan", spec.name)]
+        else:
+            records = [
+                DeltaRecord(
+                    "update",
+                    spec.name,
+                    self._oid(spec.name, number),
+                    self._lift_row(spec, number, stored),
+                )
+            ]
+        pk = spec.primary_key
+        if stored is None or before is None or stored[pk] != before[pk]:
+            records = self._with_referrers(spec, records)
         return self._log_delta(base, self.source_version(), records)
 
     def delete_row(self, relation_name: str, number: int) -> int:
@@ -386,11 +581,12 @@ class SqliteSourceAdapter(SourceAdapter):
         with self._connect_rw() as connection:
             rowid = self._rowid_of(connection, spec, number)
             connection.execute(
-                f"DELETE FROM {_quote(spec.name)} WHERE rowid = ?", (rowid,)
+                f"DELETE FROM {_quote(spec.name)} "
+                f"WHERE {self._rowid(connection, spec.name)} = ?",
+                (rowid,),
             )
-        records = [DeltaRecord("rescan", spec.name)]
-        records.extend(
-            DeltaRecord("rescan", referrer)
-            for referrer in self._referrers(spec.name)
+        return self._log_delta(
+            base,
+            self.source_version(),
+            self._with_referrers(spec, [DeltaRecord("rescan", spec.name)]),
         )
-        return self._log_delta(base, self.source_version(), records)

@@ -11,10 +11,11 @@ import sqlite3
 
 import pytest
 
-from repro.errors import UnknownClassError
+from repro.errors import SourceConfigError, UnknownClassError
 from repro.model.aggregations import Cardinality
 from repro.model.datatypes import DataType
 from repro.runtime import RuntimePolicy
+from repro.runtime.deltas import DeltaUnpatchable, patch_variant
 from repro.sources import (
     CsvSourceAdapter,
     JsonSourceAdapter,
@@ -161,6 +162,103 @@ class TestTransformation:
         first, second = adapter.scan("person")
         assert "dept" in first.aggregations
         assert "dept" not in second.aggregations  # autonomy: kept, not rejected
+
+
+def _keyed_table(tmp_path, ids=(10, 20, 30)):
+    """``t(id INTEGER PRIMARY KEY, v)``: the id is the rowid itself."""
+    path = tmp_path / "keyed.db"
+    connection = sqlite3.connect(path)
+    connection.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+    connection.executemany(
+        "INSERT INTO t VALUES (?, ?)", [(key, f"v{key}") for key in ids]
+    )
+    connection.commit()
+    connection.close()
+    return SqliteSourceAdapter(path)
+
+
+def _patched_or_rescanned(adapter, write):
+    """Replay the delta *write* logs onto the cached extent of ``t`` (a
+    rescan when the chain is unpatchable) and return it beside a rescan."""
+    cached = adapter.scan("t")
+    version = adapter.source_version()
+    write()
+    records = [
+        record
+        for delta in adapter.changes_since(version)
+        for record in delta.records
+        if record.relation == "t"
+    ]
+    try:
+        patch_variant(cached, ("direct_extent", None), records)
+    except DeltaUnpatchable:
+        cached = adapter.scan("t")
+    return records, cached, adapter.scan("t")
+
+
+class TestSqliteWritesKeepPositionalNumbers:
+    """A write is patchable only if it leaves every other row's tuple
+    number alone; otherwise it must mark its relation for rescan."""
+
+    def test_insert_below_the_rowid_tail_is_a_rescan(self, tmp_path):
+        adapter = _keyed_table(tmp_path)
+        records, patched, rescanned = _patched_or_rescanned(
+            adapter, lambda: adapter.insert_row("t", {"id": 15, "v": "x"})
+        )
+        assert [record.op for record in records] == ["rescan"]
+        assert [i.get("id") for i in rescanned] == [10, 15, 20, 30]
+        assert patched == rescanned
+
+    def test_update_that_moves_the_rowid_is_a_rescan(self, tmp_path):
+        adapter = _keyed_table(tmp_path)
+        records, patched, rescanned = _patched_or_rescanned(
+            adapter, lambda: adapter.update_row("t", 3, {"id": 5})
+        )
+        assert [record.op for record in records] == ["rescan"]
+        assert [(i.oid.number, i.get("id")) for i in rescanned][0] == (1, 5)
+        assert patched == rescanned
+
+    def test_tail_insert_and_in_place_update_stay_patchable(self, tmp_path):
+        adapter = _keyed_table(tmp_path)
+        for write, op in (
+            (lambda: adapter.insert_row("t", {"id": 40, "v": "x"}), "insert"),
+            (lambda: adapter.insert_row("t", {"v": "y"}), "insert"),
+            (lambda: adapter.update_row("t", 2, {"v": "w"}), "update"),
+            (lambda: adapter.update_row("t", 5, {"id": 41}), "update"),
+        ):
+            records, patched, rescanned = _patched_or_rescanned(adapter, write)
+            assert [record.op for record in records] == [op]
+            assert patched == rescanned
+        assert [i.get("id") for i in adapter.scan("t")] == [10, 20, 30, 40, 41]
+
+
+class TestRowidlessTables:
+    def _without_rowid(self, tmp_path):
+        path = tmp_path / "wr.db"
+        connection = sqlite3.connect(path)
+        connection.execute("CREATE TABLE plain (k TEXT PRIMARY KEY, v TEXT)")
+        connection.execute(
+            "CREATE TABLE keyed (k TEXT PRIMARY KEY, v TEXT) WITHOUT ROWID"
+        )
+        connection.execute("INSERT INTO keyed VALUES ('a', 'b')")
+        connection.commit()
+        connection.close()
+        return path
+
+    def test_without_rowid_table_is_refused_at_discovery(self, tmp_path):
+        adapter = SqliteSourceAdapter(self._without_rowid(tmp_path))
+        with pytest.raises(SourceConfigError, match="'keyed'.*WITHOUT ROWID"):
+            adapter.relations()
+
+    def test_declared_without_rowid_table_fails_as_a_config_error(self, tmp_path):
+        """Declared relations skip discovery; the scan still refuses
+        with a non-retryable config error, not a retryable outage."""
+        spec = RelationSpec(
+            "keyed", (Column("k", DataType.STRING), Column("v", DataType.STRING))
+        )
+        adapter = SqliteSourceAdapter(self._without_rowid(tmp_path), relations=[spec])
+        with pytest.raises(SourceConfigError, match="'keyed'"):
+            adapter.scan("keyed")
 
 
 class TestVersioning:
