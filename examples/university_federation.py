@@ -18,8 +18,9 @@ Run:  python examples/university_federation.py
 """
 
 from repro import FederationSession
-from repro.federation import Column, FunctionMapping, RelationalDatabase, SameObjectSpec
+from repro.federation import Column, FunctionMapping, SameObjectSpec
 from repro.model import ClassDef, DataType, ObjectDatabase, Schema
+from repro.sources import MemorySourceAdapter, RelationSpec
 
 
 def build_sources():
@@ -44,13 +45,27 @@ def build_sources():
     db2.insert("employee", {"ssn#": "201", "name": "Grace H", "dept": "Navy"})
 
     # S3: a *relational* personnel database (Informix, per the paper).
-    rdb = RelationalDatabase("StaffDB", agent="agent3", system="informix")
-    rdb.create_relation(
-        "staff",
-        [Column("ssn"), Column("staff_name"), Column("salary", DataType.INTEGER)],
+    rdb = MemorySourceAdapter(
+        "StaffDB",
+        {
+            "staff": [
+                {"ssn": "101", "staff_name": "Kurt G", "salary": 90},
+                {"ssn": "300", "staff_name": "Emmy N", "salary": 80},
+            ]
+        },
+        [
+            RelationSpec(
+                "staff",
+                (
+                    Column("ssn"),
+                    Column("staff_name"),
+                    Column("salary", DataType.INTEGER),
+                ),
+            )
+        ],
+        agent="agent3",
+        system="informix",
     )
-    rdb.insert("staff", {"ssn": "101", "staff_name": "Kurt G", "salary": 90})
-    rdb.insert("staff", {"ssn": "300", "staff_name": "Emmy N", "salary": 80})
 
     # S4: grants, salaries stored in cents — fixed by a data mapping.
     s4 = Schema("S4")
@@ -91,7 +106,7 @@ def main() -> None:
     session = FederationSession()
     session.add_database(db1, agent_name="agent1")
     session.add_database(db2, agent_name="agent2")
-    session.add_relational(rdb, schema_name="S3", agent_name="agent3")
+    session.add_source(rdb.database("S3"), agent_name="agent3")
     session.add_database(db4, agent_name="agent4")
 
     session.declare(ASSERTIONS)

@@ -5,7 +5,7 @@ agents explicitly::
 
     session = FederationSession()
     session.add_database(db1)          # an ObjectDatabase (schema S1)
-    session.add_relational(rdb)        # or a RelationalDatabase
+    session.add_source(adapter.database("S2"))  # or a relational source
     session.declare(ASSERTION_TEXT)
     session.integrate()
     session.query("uncle(niece_nephew='John') -> Ussn#")
@@ -31,7 +31,6 @@ from ..federation.evaluation import FederationEngine
 from ..federation.fsm import FSM
 from ..federation.mappings import DataMapping, DefaultMapping, SameObjectSpec
 from ..federation.query import FederatedQuery
-from ..federation.relational import RelationalDatabase
 from ..integration.naming import NamePolicy
 from ..integration.result import IntegratedSchema
 from ..model.database import ObjectDatabase
@@ -50,15 +49,6 @@ class FederationSession:
         """Register an object database under a fresh implicit agent."""
         agent = FSMAgent(agent_name or self._next_agent_name())
         agent.host_object_database(database)
-        self.fsm.register_agent(agent)
-        return agent
-
-    def add_relational(
-        self, database: RelationalDatabase, schema_name: str = "", agent_name: str = ""
-    ) -> FSMAgent:
-        """Register a relational database (transformed to OO on the way in)."""
-        agent = FSMAgent(agent_name or self._next_agent_name(), system=database.system)
-        agent.host_relational_database(database, schema_name)
         self.fsm.register_agent(agent)
         return agent
 

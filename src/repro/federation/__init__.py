@@ -1,8 +1,8 @@
 """Federation architecture (§3, Appendix B of the paper).
 
-FSM-agents hosting component databases (native object stores or
-relational databases wrapped through the §3 transformation), data
-mappings ``F^A_{DB_i,B}``, same-object identity resolution, fact lifting,
+FSM-agents hosting component databases (native object stores, or
+relational sources that :mod:`repro.sources` adapters transform to OO
+form as §3 prescribes), data mappings ``F^A_{DB_i,B}``, same-object identity resolution, fact lifting,
 the FSM coordination layer with both Fig 2 multi-schema strategies, and
 federated query evaluation via the bottom-up engine or the faithful
 Appendix B top-down evaluator.
@@ -30,8 +30,7 @@ from .mappings import (
     same_object_facts,
 )
 from .query import FederatedQuery
-from .relational import Column, ForeignKey, Relation, RelationalDatabase
-from .transform import materialize_view, transform_schema
+from .relational import Column, ForeignKey
 
 __all__ = [
     "AgentSource",
@@ -51,14 +50,10 @@ __all__ = [
     "ForeignKey",
     "FunctionMapping",
     "MappingRegistry",
-    "Relation",
-    "RelationalDatabase",
     "SameObjectSpec",
     "TripleMapping",
     "appendix_b_program",
     "inheritance_rules",
     "lift_facts",
-    "materialize_view",
     "same_object_facts",
-    "transform_schema",
 ]

@@ -3,9 +3,9 @@
 An FSM-agent "corresponds to local system management and addresses all
 the issues w.r.t. schema translations and exports as well as local
 transaction and query processing."  :class:`FSMAgent` hosts component
-databases — native object stores or relational databases wrapped through
-:mod:`repro.federation.transform` — and exposes exactly the narrow
-interface the FSM layer may use:
+databases — native object stores, or relational sources whose
+:mod:`repro.sources` adapter performs the §3 schema translation — and
+exposes exactly the narrow interface the FSM layer may use:
 
 * export of the (transformed) local schema;
 * extent / value-set / attribute scans of one class — whole, or the
@@ -27,8 +27,6 @@ from ..model.database import ObjectDatabase
 from ..model.instances import ObjectInstance
 from ..model.schema import Schema
 from ..model.store import ComponentStore, Selection
-from .relational import RelationalDatabase
-from .transform import materialize_view
 
 if TYPE_CHECKING:
     from ..runtime.sharding import ShardSpec
@@ -63,13 +61,6 @@ class FSMAgent:
             )
         self._databases[schema_name] = database
         return database
-
-    def host_relational_database(
-        self, database: RelationalDatabase, schema_name: str = ""
-    ) -> ObjectDatabase:
-        """Install a relational database through the OO transformation."""
-        _, view = materialize_view(database, schema_name or database.name)
-        return self.host_object_database(view)
 
     def host_source(self, store: ComponentStore) -> ComponentStore:
         """Install any component store — e.g. a disk-backed source

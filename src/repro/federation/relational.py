@@ -1,22 +1,20 @@
-"""An in-memory relational store — the component-DBMS substitute (§3).
+"""The relational column vocabulary (§3).
 
 The paper's component databases are relational systems (the Informix
 example) whose schemas are transformed to OO form before integration.
-:class:`RelationalDatabase` provides just enough of a relational system
-for that pipeline: named relations with typed columns, tuples numbered
-"in the normal way" so the §3 OID scheme applies, optional foreign keys
-(which the transformer turns into aggregation functions), and the
-select/project scan a federation agent performs on behalf of the FSM.
+:class:`Column` and :class:`ForeignKey` name a relation's typed columns
+and its references; :class:`~repro.sources.RelationSpec` declares a
+relation with them, and the :mod:`repro.sources` adapters run the §3
+transformation over the rows — each foreign key becomes an aggregation
+function toward the referenced relation's class.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import DuplicateDefinitionError, ModelError, RegistrationError
-from ..model.datatypes import DataType, conforms
-from ..model.oids import OID, OIDGenerator
+from ..errors import ModelError
+from ..model.datatypes import DataType
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,158 +36,3 @@ class ForeignKey:
     column: str
     target_relation: str
     target_column: str
-
-
-class Relation:
-    """A named relation: columns, foreign keys and numbered tuples."""
-
-    def __init__(
-        self,
-        name: str,
-        columns: Sequence[Column],
-        primary_key: Optional[str] = None,
-        foreign_keys: Sequence[ForeignKey] = (),
-    ) -> None:
-        if not name:
-            raise ModelError("relation name must be non-empty")
-        if not columns:
-            raise ModelError(f"relation {name!r} needs at least one column")
-        names = [column.name for column in columns]
-        if len(set(names)) != len(names):
-            raise DuplicateDefinitionError(f"relation {name!r} has duplicate columns")
-        self.name = name
-        self.columns: Tuple[Column, ...] = tuple(columns)
-        self.primary_key = primary_key or columns[0].name
-        if self.primary_key not in names:
-            raise ModelError(
-                f"relation {name!r}: primary key {self.primary_key!r} is not a column"
-            )
-        for foreign_key in foreign_keys:
-            if foreign_key.column not in names:
-                raise ModelError(
-                    f"relation {name!r}: FK column {foreign_key.column!r} is "
-                    f"not a column"
-                )
-        self.foreign_keys: Tuple[ForeignKey, ...] = tuple(foreign_keys)
-        self._rows: List[Tuple[OID, Dict[str, Any]]] = []
-
-    @property
-    def column_names(self) -> Tuple[str, ...]:
-        return tuple(column.name for column in self.columns)
-
-    def column(self, name: str) -> Column:
-        for column in self.columns:
-            if column.name == name:
-                return column
-        raise ModelError(f"relation {self.name!r} has no column {name!r}")
-
-    # ------------------------------------------------------------------
-    def _insert(self, oid: OID, values: Mapping[str, Any]) -> OID:
-        row: Dict[str, Any] = {}
-        for column in self.columns:
-            value = values.get(column.name)
-            if not conforms(value, column.data_type):
-                raise ModelError(
-                    f"relation {self.name!r}: value {value!r} does not conform "
-                    f"to column {column.name}: {column.data_type}"
-                )
-            row[column.name] = value
-        unknown = set(values) - set(self.column_names)
-        if unknown:
-            raise ModelError(
-                f"relation {self.name!r}: unknown columns {sorted(unknown)}"
-            )
-        self._rows.append((oid, row))
-        return oid
-
-    def rows(self) -> List[Tuple[OID, Dict[str, Any]]]:
-        return list(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
-class RelationalDatabase:
-    """A component relational database with §3 OIDs.
-
-    Parameters mirror the OID scheme: *agent* and *system* name the
-    FSM-agent and DBMS this database is installed in.
-    """
-
-    def __init__(self, name: str, agent: str = "agent1", system: str = "informix") -> None:
-        self.name = name
-        self.agent = agent
-        self.system = system
-        self._relations: Dict[str, Relation] = {}
-        self._generator = OIDGenerator(agent, system, name)
-
-    # ------------------------------------------------------------------
-    def create_relation(
-        self,
-        name: str,
-        columns: Sequence[Any],
-        primary_key: Optional[str] = None,
-        foreign_keys: Sequence[ForeignKey] = (),
-    ) -> Relation:
-        """Create a relation; columns may be Column objects or names."""
-        if name in self._relations:
-            raise DuplicateDefinitionError(
-                f"database {self.name!r} already has relation {name!r}"
-            )
-        normalized = [
-            column if isinstance(column, Column) else Column(str(column))
-            for column in columns
-        ]
-        relation = Relation(name, normalized, primary_key, foreign_keys)
-        self._relations[name] = relation
-        return relation
-
-    def relation(self, name: str) -> Relation:
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise RegistrationError(
-                f"database {self.name!r} has no relation {name!r}"
-            ) from None
-
-    def relations(self) -> Tuple[Relation, ...]:
-        return tuple(self._relations.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._relations
-
-    # ------------------------------------------------------------------
-    def insert(self, relation_name: str, values: Mapping[str, Any]) -> OID:
-        """Insert a tuple; returns its federation-wide OID."""
-        relation = self.relation(relation_name)
-        oid = self._generator.next_oid(relation_name)
-        return relation._insert(oid, values)
-
-    def insert_many(
-        self, relation_name: str, rows: Iterable[Mapping[str, Any]]
-    ) -> List[OID]:
-        return [self.insert(relation_name, row) for row in rows]
-
-    # ------------------------------------------------------------------
-    def scan(
-        self,
-        relation_name: str,
-        predicate: Optional[Callable[[Mapping[str, Any]], bool]] = None,
-        columns: Optional[Sequence[str]] = None,
-    ) -> List[Tuple[OID, Dict[str, Any]]]:
-        """Select/project: the local query interface agents expose."""
-        relation = self.relation(relation_name)
-        wanted = tuple(columns) if columns is not None else relation.column_names
-        for column in wanted:
-            relation.column(column)  # validates
-        results: List[Tuple[OID, Dict[str, Any]]] = []
-        for oid, row in relation.rows():
-            if predicate is None or predicate(row):
-                results.append((oid, {column: row[column] for column in wanted}))
-        return results
-
-    def lookup(self, relation_name: str, column: str, value: Any) -> List[OID]:
-        """OIDs of tuples whose *column* equals *value*."""
-        return [
-            oid for oid, _ in self.scan(relation_name, lambda row: row[column] == value)
-        ]

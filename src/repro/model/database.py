@@ -97,8 +97,7 @@ class ObjectDatabase:
     def adopt(self, instance: ObjectInstance) -> ObjectInstance:
         """Adopt an instance that already carries an OID.
 
-        Used by wrappers (relational views) whose objects are numbered by
-        the component database, not by this store's generator.
+        For objects numbered elsewhere, not by this store's generator.
         """
         if instance.class_name not in self.schema:
             raise UnknownClassError(instance.class_name, self.schema.name)

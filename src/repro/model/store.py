@@ -1,9 +1,8 @@
 """The component-store interface FSM-agents host (§3).
 
 An FSM-agent does not care how a component database stores its data —
-an in-memory :class:`~repro.model.database.ObjectDatabase`, a
-materialized relational view, or a disk-backed source adapter from
-:mod:`repro.sources`.  It only ever asks the narrow set of questions the
+an in-memory :class:`~repro.model.database.ObjectDatabase` or a
+relational source adapter from :mod:`repro.sources`.  It only ever asks the narrow set of questions the
 federation layer is allowed to ask (autonomy, Appendix B): the exported
 schema, class extents, value sets, and a *version* the extent cache can
 key freshness to.  :class:`ComponentStore` is that structural contract.

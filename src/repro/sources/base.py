@@ -1,17 +1,15 @@
 """Source adapters: the §3 relational→OO transformation over real rows.
 
-Until now every FSM-agent served pre-built in-memory
-:class:`~repro.model.database.ObjectDatabase`\\ s, so the paper's §3
-pipeline — transform each local relational schema to OO form, assign
-five-part OIDs "in the normal way", and translate attribute values
-through per-attribute data mappings ``F^A_{DB_i,B}`` — was only ever
-exercised against synthetic stores.  A :class:`SourceAdapter` applies
-that pipeline to an actual heterogeneous source on every scan:
+A relational component enters the federation only through a
+:class:`SourceAdapter`, which runs the paper's §3 pipeline — transform
+the local relational schema to OO form, assign five-part OIDs "in the
+normal way", and translate attribute values through per-attribute data
+mappings ``F^A_{DB_i,B}`` — over the source's rows on every scan:
 
 * :meth:`SourceAdapter.schema` derives the OO view of the source's
-  relations exactly as :func:`repro.federation.transform.transform_schema`
-  does — relation → class, non-FK column → attribute, FK → aggregation
-  function ``[m:1]`` (``[1:1]`` when the FK column is the primary key);
+  relations — relation → class, non-FK column → attribute, FK →
+  aggregation function ``[m:1]`` (``[1:1]`` when the FK column is the
+  primary key);
 * :meth:`SourceAdapter.scan` reads the rows, coerces raw storage values
   to their declared primitive types, applies the per-column
   :class:`~repro.federation.mappings.DataMapping` (default / fuzzy
@@ -36,9 +34,7 @@ import datetime
 import threading
 from typing import (
     Any,
-    Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -50,7 +46,6 @@ from typing import (
 )
 
 from ..errors import (
-    InstanceError,
     SourceConfigError,
     SourceFormatError,
     UnknownClassError,
@@ -75,10 +70,10 @@ if TYPE_CHECKING:
 class RelationSpec:
     """One relation of a source: typed columns, primary key, FKs.
 
-    The vocabulary is shared with the in-memory relational substitute
-    (:class:`~repro.federation.relational.Column` /
-    :class:`~repro.federation.relational.ForeignKey`), so declared specs
-    read identically whether the rows live in memory or on disk.
+    The vocabulary (:class:`~repro.federation.relational.Column` /
+    :class:`~repro.federation.relational.ForeignKey`) is shared with the
+    workload generator, so declared specs read identically whether the
+    rows live in memory or on disk.
     """
 
     name: str
@@ -343,8 +338,14 @@ class SourceAdapter:
         "OIDs assigned in the normal way" scheme.  Backends whose write
         path can keep numbers stable across deletes (tombstones, rowids)
         override this so a delete patches instead of renumbering.
+        Closing the iterator closes :meth:`fetch_rows`'s, so a scan that
+        stops early releases the storage at once.
         """
-        return enumerate(self.fetch_rows(relation), start=1)
+        rows = self.fetch_rows(relation)
+        try:
+            yield from enumerate(rows, start=1)
+        finally:
+            _close(rows)
 
     # ------------------------------------------------------------------
     # the delta feed (incremental invalidation)
@@ -360,6 +361,21 @@ class SourceAdapter:
         sends readers to the targeted-rescan fallback.
         """
         return self._delta_log.changes_since(version)
+
+    def _writable(self, relation_name: str, row: Mapping[str, Any]) -> RelationSpec:
+        """The spec of *relation_name*, once *row* names only its columns.
+
+        Every write helper calls this before it writes, so a column the
+        relation does not declare is refused instead of dropped.
+        """
+        spec = self.relation(relation_name)
+        unknown = set(row).difference(spec.column_names)
+        if unknown:
+            raise SourceConfigError(
+                f"source {self.name!r}, relation {spec.name!r}: unknown "
+                f"columns {sorted(unknown)}"
+            )
+        return spec
 
     def _oid(self, relation_name: str, number: int) -> OID:
         return OID(self.agent, self.system, self.name, relation_name, number)
@@ -495,11 +511,12 @@ class SourceAdapter:
             for fk in spec.foreign_keys
         }
         tests = self._selection_tests(plans, where)
-        rows = (
+        fetched = (
             self.fetch_selected_rows(spec, tests)
             if tests
             else self.fetch_numbered_rows(spec)
         )
+        rows = fetched
         if shard is not None:
             owns = shard.number_predicate(
                 self.agent, self.system, self.name, spec.name
@@ -515,12 +532,18 @@ class SourceAdapter:
                     for plan, constant in tests
                 )
             )
-        return [
-            self._materialize_row(
-                spec, number, row, plans, fk_by_column, pk_indexes
-            )
-            for number, row in rows
-        ]
+        try:
+            return [
+                self._materialize_row(
+                    spec, number, row, plans, fk_by_column, pk_indexes
+                )
+                for number, row in rows
+            ]
+        finally:
+            # a row that fails to translate leaves the fetch suspended
+            # mid-read (a sqlite cursor holds the file's shared lock);
+            # the raised error's traceback would keep it alive
+            _close(fetched)
 
     def fetch_selected_rows(
         self, relation: RelationSpec, tests: Sequence[SelectionTest]
@@ -681,22 +704,35 @@ class SourceAdapter:
         spec = self.relation(relation_name)
         pk_type = spec.column(spec.primary_key).data_type
         index: Dict[Any, OID] = {}
-        for number, row in self.fetch_numbered_rows(spec):
-            key = coerce_value(
-                row.get(spec.primary_key),
-                pk_type,
-                source=self.name,
-                relation=spec.name,
-                column=spec.primary_key,
-            )
-            if key is not None:
-                index[key] = OID(self.agent, self.system, self.name, spec.name, number)
+        rows = self.fetch_numbered_rows(spec)
+        try:
+            for number, row in rows:
+                key = coerce_value(
+                    row.get(spec.primary_key),
+                    pk_type,
+                    source=self.name,
+                    relation=spec.name,
+                    column=spec.primary_key,
+                )
+                if key is not None:
+                    index[key] = OID(
+                        self.agent, self.system, self.name, spec.name, number
+                    )
+        finally:
+            _close(rows)
         with self._lock:
             self._pk_cache[relation_name] = (version, index)
         return index
 
 
 _IDENTITY = DefaultMapping()
+
+
+def _close(rows: Iterator[Any]) -> None:
+    """Close a fetch iterator that can be closed (a generator)."""
+    close = getattr(rows, "close", None)
+    if close is not None:
+        close()
 
 
 class MemorySourceAdapter(SourceAdapter):
@@ -725,6 +761,9 @@ class MemorySourceAdapter(SourceAdapter):
         super().__init__(
             name, agent=agent, system=system, relations=relations, mappings=mappings
         )
+        for spec in relations:
+            for row in rows.get(spec.name, ()):
+                self._writable(spec.name, row)
         # a slot holds the raw row dict, or None once deleted (tombstone)
         self._rows: Dict[str, List[Optional[Dict[str, Any]]]] = {
             relation: [dict(row) for row in relation_rows]
@@ -777,7 +816,7 @@ class MemorySourceAdapter(SourceAdapter):
 
     def insert(self, relation_name: str, row: Mapping[str, Any]) -> int:
         """Append one raw row, bump the version and log the delta."""
-        spec = self.relation(relation_name)
+        spec = self._writable(relation_name, row)
         rows = self._rows.setdefault(relation_name, [])
         rows.append(dict(row))
         base, self._version = self._version, self._version + 1
@@ -801,7 +840,7 @@ class MemorySourceAdapter(SourceAdapter):
         self, relation_name: str, number: int, changes: Mapping[str, Any]
     ) -> int:
         """Merge *changes* into row *number* and log the update delta."""
-        spec = self.relation(relation_name)
+        spec = self._writable(relation_name, changes)
         row = self._slot(relation_name, number)
         pk_moved = (
             spec.primary_key in changes
@@ -882,52 +921,3 @@ class SourceDatabase:
 
     def value_set(self, class_name: str, attribute: str) -> Set[Any]:
         return value_set_of(self.extent(class_name), attribute)
-
-    def select(
-        self, class_name: str, predicate: Callable[[ObjectInstance], bool]
-    ) -> List[ObjectInstance]:
-        return [obj for obj in self.extent(class_name) if predicate(obj)]
-
-    # ------------------------------------------------------------------
-    def by_oid(self, oid: OID) -> ObjectInstance:
-        instance = self.get(oid)
-        if instance is None:
-            raise InstanceError(f"no object with OID {oid}")
-        return instance
-
-    def get(self, oid: OID) -> Optional[ObjectInstance]:
-        if oid.relation not in self.schema:
-            return None
-        for instance in self.adapter.scan(oid.relation):
-            if instance.oid == oid:
-                return instance
-        return None
-
-    def follow(
-        self, instance: ObjectInstance, aggregation: str
-    ) -> List[ObjectInstance]:
-        target = instance.get(aggregation)
-        if target is None:
-            return []
-        if isinstance(target, OID):
-            return [self.by_oid(target)]
-        return [self.by_oid(oid) for oid in sorted(target)]
-
-    # ------------------------------------------------------------------
-    def counts(self) -> Dict[str, int]:
-        return {
-            spec.name: self.adapter.count_rows(spec.name)
-            for spec in self.adapter.relations()
-        }
-
-    def __len__(self) -> int:
-        return sum(self.counts().values())
-
-    def __iter__(self) -> Iterator[ObjectInstance]:
-        for spec in self.adapter.relations():
-            yield from self.adapter.scan(spec.name)
-
-
-def declared_relations(specs: Iterable[RelationSpec]) -> Dict[str, RelationSpec]:
-    """Index declared specs by relation name (manifest/test helper)."""
-    return {spec.name: spec for spec in specs}

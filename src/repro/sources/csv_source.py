@@ -149,7 +149,7 @@ class CsvSourceAdapter(SourceAdapter):
         the write is patchable; any other CSV edit happens outside the
         adapter and reaches caches through the chain-gap fallback.
         """
-        spec = self.relation(relation_name)
+        spec = self._writable(relation_name, row)
         path = self._file_for(relation_name)
         header = self._read_header(path)
         base = self.source_version()

@@ -173,7 +173,7 @@ class JsonSourceAdapter(SourceAdapter):
 
     def append_row(self, relation_name: str, row: Mapping[str, Any]) -> int:
         """Append one record to the relation's array and log the delta."""
-        spec = self.relation(relation_name)
+        spec = self._writable(relation_name, row)
         stored = self._load(relation_name)
         base = self.source_version()
         stored.append(dict(row))
@@ -196,7 +196,7 @@ class JsonSourceAdapter(SourceAdapter):
         self, relation_name: str, number: int, changes: Mapping[str, Any]
     ) -> int:
         """Merge *changes* into record *number* and log the update delta."""
-        spec = self.relation(relation_name)
+        spec = self._writable(relation_name, changes)
         stored = self._load(relation_name)
         if not 1 <= number <= len(stored):
             raise SourceConfigError(

@@ -405,14 +405,6 @@ class SqliteSourceAdapter(SourceAdapter):
             self._number_cache[table] = (version, numbers)
         return numbers
 
-    def count_rows(self, relation_name: str) -> int:
-        spec = self.relation(relation_name)
-        with self._connect() as connection:
-            (count,) = connection.execute(
-                f"SELECT COUNT(*) FROM {_quote(spec.name)}"
-            ).fetchone()
-        return int(count)
-
     def source_version(self) -> int:
         """Fingerprint the file's *contents* (stat-memoized); rapid
         same-mtime writes cannot alias, and the value is deterministic
@@ -496,7 +488,7 @@ class SqliteSourceAdapter(SourceAdapter):
         KEY) renumbers every later row, so its relation is marked for
         rescan instead.
         """
-        spec = self.relation(relation_name)
+        spec = self._writable(relation_name, row)
         base = self.source_version()
         columns = [name for name in spec.column_names if name in row]
         with self._connect_rw() as connection:
@@ -542,7 +534,7 @@ class SqliteSourceAdapter(SourceAdapter):
         in storage order and renumbers rows, so its relation is marked
         for rescan instead of patched.
         """
-        spec = self.relation(relation_name)
+        spec = self._writable(relation_name, changes)
         base = self.source_version()
         with self._connect_rw() as connection:
             rowid = self._rowid_of(connection, spec, number)

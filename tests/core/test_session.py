@@ -3,7 +3,8 @@
 import pytest
 
 from repro import FederationSession
-from repro.federation import Column, ForeignKey, RelationalDatabase
+from repro.federation import Column
+from repro.sources import MemorySourceAdapter, RelationSpec
 from repro.workloads import genealogy
 
 
@@ -43,12 +44,16 @@ class TestWorkflow:
 
 class TestRelationalEntry:
     def test_relational_database_joins_federation(self):
-        rdb = RelationalDatabase("LibDB", system="informix")
-        rdb.create_relation("books", [Column("isbn"), Column("title")])
-        rdb.insert("books", {"isbn": "1", "title": "Logic"})
+        adapter = MemorySourceAdapter(
+            "LibDB",
+            {"books": [{"isbn": "1", "title": "Logic"}]},
+            [RelationSpec("books", (Column("isbn"), Column("title")))],
+            agent="lib-agent",
+            system="informix",
+        )
 
         session = FederationSession()
-        session.add_relational(rdb, schema_name="S1")
+        session.add_source(adapter.database("S1"))
 
         from repro.model import ClassDef, ObjectDatabase, Schema
 
@@ -69,3 +74,5 @@ class TestRelationalEntry:
         session.integrate()
         rows = session.query("books() -> title")
         assert {row["title"] for row in rows} == {"Logic", "Sets"}
+        [logic] = [row for row in rows if row["title"] == "Logic"]
+        assert str(logic["oid"]) == "lib-agent.informix.LibDB.books.1"

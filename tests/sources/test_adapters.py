@@ -32,7 +32,7 @@ from repro.workloads import (
     write_sqlite,
 )
 
-from .conftest import integrated_fsm
+from .conftest import disk_databases, integrated_fsm
 
 
 def _university(tmp_path, writer=write_sqlite):
@@ -370,6 +370,53 @@ class TestVersioning:
             runtime.close()
 
 
+#: every write helper, per backend: (kind, helper name)
+WRITE_HELPERS = [
+    ("memory", "__init__"),
+    ("memory", "insert"),
+    ("memory", "update_row"),
+    ("sqlite", "insert_row"),
+    ("sqlite", "update_row"),
+    ("csv", "append_row"),
+    ("json", "append_row"),
+    ("json", "update_row"),
+]
+
+
+def _write(adapter, helper, row):
+    if helper == "__init__":
+        MemorySourceAdapter("m", {"person": [row]}, adapter.relations())
+    elif helper == "update_row":
+        adapter.update_row("person", 1, row)
+    else:
+        getattr(adapter, helper)("person", row)
+
+
+class TestUndeclaredColumns:
+    """A write naming a column its relation does not declare is refused
+    before anything is written, on every backend and write helper."""
+
+    @pytest.mark.parametrize(
+        "kind, helper", WRITE_HELPERS, ids=[f"{k}-{h}" for k, h in WRITE_HELPERS]
+    )
+    def test_write_with_unknown_column_is_refused(self, tmp_path, kind, helper):
+        dataset = generate_source_federation(
+            people_per_schema=4, records_per_person=1, seed=3,
+            schemas=("university",),
+        )
+        if kind == "memory":
+            databases = build_memory_databases(dataset)
+        else:
+            databases = disk_databases(dataset, tmp_path, kinds=kind)
+        adapter = databases["university"].adapter
+        row = dict(dataset.rows["university"]["person"][0], ssn="new")
+        before = (adapter.source_version(), adapter.scan("person"))
+        with pytest.raises(SourceConfigError, match=r"'person'.*\['zzz'\]"):
+            _write(adapter, helper, dict(row, zzz=1))
+        assert (adapter.source_version(), adapter.scan("person")) == before
+        _write(adapter, helper, row)  # the declared columns alone are written
+
+
 class TestSourceDatabaseStore:
     """The ComponentStore facade: what FSM agents actually call."""
 
@@ -378,12 +425,12 @@ class TestSourceDatabaseStore:
         store = SqliteSourceAdapter(path).database()
         person_rows = dataset.rows["university"]["person"]
         assert len(store.extent("person")) == len(person_rows)
-        assert store.counts()["enrollment"] == len(
+        assert len(store.extent("enrollment")) == len(
             dataset.rows["university"]["enrollment"]
         )
         instance = store.extent("person")[0]
-        assert store.by_oid(instance.oid).attributes == instance.attributes
-        assert store.get(instance.oid) is not None
+        [found] = [i for i in store.extent("person") if i.oid == instance.oid]
+        assert found.attributes == instance.attributes
 
     def test_value_set_applies_the_data_mappings(self):
         dataset = generate_source_federation(

@@ -12,7 +12,6 @@ import datetime
 import pytest
 
 from repro.errors import (
-    InstanceError,
     SourceConfigError,
     SourceFormatError,
     SourceUnavailableError,
@@ -21,7 +20,6 @@ from repro.errors import (
 from repro.federation.mappings import FunctionMapping
 from repro.federation.relational import Column, ForeignKey
 from repro.model.datatypes import DataType
-from repro.model.oids import OID
 from repro.sources import (
     ColumnMapping,
     CsvSourceAdapter,
@@ -32,7 +30,6 @@ from repro.sources import (
     SourceAdapter,
     coerce_value,
 )
-from repro.sources.base import declared_relations
 from repro.sources.manifest import (
     build_adapter,
     load_source_federation,
@@ -81,10 +78,6 @@ class TestRelationSpecValidation:
     def test_unknown_column_lookup_is_typed(self):
         with pytest.raises(SourceConfigError, match="no column"):
             _spec().column("nope")
-
-    def test_declared_relations_indexes_by_name(self):
-        spec = _spec()
-        assert declared_relations([spec]) == {"person": spec}
 
 
 class TestAdapterContract:
@@ -175,29 +168,16 @@ class TestStoreFacade:
 
     def test_select_filters_the_extent(self):
         store = self._store()
-        chosen = store.select("person", lambda i: i.get("ssn") == "2")
+        chosen = store.direct_extent("person", where=(("ssn", "2"),))
         assert [i.get("ssn") for i in chosen] == ["2"]
 
     def test_follow_resolves_and_tolerates_null_fks(self):
         store = self._store()
         linked, unlinked = store.extent("person")
-        (department,) = store.follow(linked, "dept")
+        department, _ = store.extent("department")
+        assert linked.get("dept") == department.oid
         assert department.get("code") == "d0"
-        assert store.follow(unlinked, "dept") == []
-
-    def test_by_oid_miss_is_typed(self):
-        store = self._store()
-        missing = OID("agent-m", "component", "m", "person", 99)
-        assert store.get(missing) is None
-        with pytest.raises(InstanceError):
-            store.by_oid(missing)
-        foreign = OID("agent-m", "component", "m", "no_relation", 1)
-        assert store.get(foreign) is None
-
-    def test_iteration_and_len_cover_every_relation(self):
-        store = self._store()
-        assert len(store) == 4
-        assert len(list(store)) == 4
+        assert unlinked.get("dept") is None
 
     def test_value_set_skips_nulls(self):
         assert self._store().value_set("department", "title") == {"x"}

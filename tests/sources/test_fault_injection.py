@@ -91,6 +91,33 @@ class TestSqliteFaults:
         assert adapter.scan("person")  # lock released -> scans again
         assert {spec.name for spec in specs} >= {"person"}
 
+    @pytest.mark.parametrize(
+        "where", [(), (("name", "x99"),)], ids=["full", "narrowed"]
+    )
+    def test_caught_format_error_releases_the_file(self, tmp_path, where):
+        path = tmp_path / "bad.db"
+        setup = sqlite3.connect(path)
+        setup.execute("CREATE TABLE t (name TEXT, n INTEGER)")
+        setup.executemany(
+            "INSERT INTO t VALUES (?, ?)", [(f"x{i}", i) for i in range(200)]
+        )
+        # one bad value mid-table: the scan raises while rows remain unread
+        setup.execute("UPDATE t SET n = 'oops' WHERE rowid = 100")
+        setup.commit()
+        setup.close()
+        adapter = SqliteSourceAdapter(path)
+        with pytest.raises(SourceFormatError) as caught:
+            adapter.scan("t", where=where)
+        # the error (and the scan frames its traceback holds) is still
+        # alive here; the adapter must not keep the file read-locked
+        assert caught.value is not None
+        writer = sqlite3.connect(path, timeout=0.2)
+        try:
+            writer.execute("INSERT INTO t VALUES ('late', 1)")
+            writer.commit()
+        finally:
+            writer.close()
+
 
 class TestCsvFaults:
     def test_missing_directory_is_unavailable(self, tmp_path):

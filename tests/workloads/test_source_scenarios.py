@@ -77,9 +77,11 @@ class TestGeneratorDeterminism:
         # 3 schemas x (100 people + 400 records + 3 lookups)
         assert dataset.total_instances == 3 * (100 + 400 + 3)
         databases = build_memory_databases(dataset)
-        assert sum(len(store) for store in databases.values()) == (
-            dataset.total_instances
-        )
+        assert sum(
+            len(store.extent(relation))
+            for store in databases.values()
+            for relation in store.schema.class_names
+        ) == dataset.total_instances
 
     def test_empty_schema_list_is_rejected(self):
         with pytest.raises(SourceConfigError):
