@@ -138,10 +138,6 @@ class ClassAssertion:
             return (self.target_class,)
         return ()
 
-    def member_correspondences(self):
-        """Attribute and aggregation correspondences, interleaved."""
-        return tuple(self.attribute_corrs) + tuple(self.aggregation_corrs)
-
     # ------------------------------------------------------------------
     # orientation
     # ------------------------------------------------------------------

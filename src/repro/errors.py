@@ -69,10 +69,6 @@ class LogicError(ReproError):
     """A term, atom, rule or substitution is ill-formed."""
 
 
-class UnificationError(LogicError):
-    """Two terms could not be unified."""
-
-
 class SafetyError(LogicError):
     """A generated rule is not safe / range-restricted / allowed."""
 

@@ -8,10 +8,13 @@ databases — native object stores, or relational sources whose
 exposes exactly the narrow interface the FSM layer may use:
 
 * export of the (transformed) local schema;
-* extent / value-set / attribute scans of one class — whole, or the
-  slice one shard endpoint owns (the store skips the rest); a direct
-  extent scan may carry an equality selection in the local vocabulary,
-  which the store may use to skip instances that cannot match.
+* extent and direct-extent scans of one class — the concept
+  extensions the FSM pulls (§3, Appendix B) — whole, or the slice one
+  shard endpoint owns (the store skips the rest); a direct extent scan
+  may carry an equality selection in the local vocabulary, which the
+  store may use to skip instances that cannot match;
+* the delta-feed lookup :meth:`FSMAgent.fetch_changes`, a control-plane
+  call that is not an extent scan.
 
 Every access is counted, so the autonomy property (the FSM never
 evaluates rules inside a component system, Appendix B) is testable.
@@ -109,12 +112,6 @@ class FSMAgent:
         may leave out instances that cannot satisfy the selection."""
         self._record(schema_name, class_name)
         return self._database(schema_name).direct_extent(class_name, shard, where)
-
-    def fetch_value_set(
-        self, schema_name: str, class_name: str, attribute: str
-    ) -> Set[Any]:
-        self._record(schema_name, class_name)
-        return self._database(schema_name).value_set(class_name, attribute)
 
     def fetch_changes(self, schema_name: str, since: int) -> Any:
         """The store's delta chain from version *since*, or ``None`` when

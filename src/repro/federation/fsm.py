@@ -152,14 +152,6 @@ class FSM:
                 assertion.validate(left, right)
         return parsed
 
-    def assertions_between(self, a: str, b: str) -> AssertionSet:
-        key = self._pair_key(a, b)
-        assertion_set = self._assertion_sets.get(key)
-        if assertion_set is None:
-            assertion_set = AssertionSet(*key)
-            self._assertion_sets[key] = assertion_set
-        return assertion_set
-
     def _pair_key(self, a: str, b: str) -> Tuple[str, str]:
         known = list(self._schema_host)
         if a in known and b in known:

@@ -40,11 +40,6 @@ class IntegrationStats:
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
 
-    @property
-    def total_work(self) -> int:
-        """Pair checks plus DFS node visits — the §6.3 cost measure."""
-        return self.pairs_checked + self.dfs_visits
-
     def describe(self) -> str:
         lines = ["integration stats:"]
         for key, value in self.as_dict().items():

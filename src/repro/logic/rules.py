@@ -95,12 +95,6 @@ class Rule:
             collected |= item.variables()
         return frozenset(collected)
 
-    def head_variables(self) -> FrozenSet[Variable]:
-        collected = set()
-        for head in self.heads:
-            collected |= _variables_of(head)
-        return frozenset(collected)
-
     def is_fact(self) -> bool:
         return not self.body
 

@@ -21,7 +21,7 @@ offending variables; :func:`is_safe` is the boolean form.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set
+from typing import Iterable, List, Set
 
 from ..errors import SafetyError
 from .atoms import Comparison, ComparisonOp
@@ -140,11 +140,3 @@ def check_all(rules: Iterable[Rule]) -> List[str]:
             for problem in violations(compiled):
                 problems.append(f"{rule}: {problem}")
     return problems
-
-
-def head_only_variables(rule: DatalogRule) -> FrozenSet[Variable]:
-    """Variables occurring in the head but nowhere in the body."""
-    body_variables: Set[Variable] = set()
-    for literal in rule.body:
-        body_variables |= literal.variables()
-    return frozenset(v for v in rule.head.variables() if v not in body_variables)

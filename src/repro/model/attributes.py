@@ -80,11 +80,6 @@ class Attribute:
         """True when the attribute's type is another class."""
         return isinstance(self.value_type, ClassType)
 
-    @property
-    def is_primitive(self) -> bool:
-        """True when the attribute has one of the six primitive types."""
-        return isinstance(self.value_type, DataType)
-
     def type_name(self) -> str:
         """The printable type, ``{...}``-wrapped when multivalued."""
         inner = str(self.value_type)

@@ -94,22 +94,6 @@ class ObjectDatabase:
         self.version += 1
         return instance
 
-    def adopt(self, instance: ObjectInstance) -> ObjectInstance:
-        """Adopt an instance that already carries an OID.
-
-        For objects numbered elsewhere, not by this store's generator.
-        """
-        if instance.class_name not in self.schema:
-            raise UnknownClassError(instance.class_name, self.schema.name)
-        if instance.oid in self._by_oid:
-            raise InstanceError(f"OID {instance.oid} already present")
-        if self._validate:
-            instance.validate_against(self.schema.effective_class(instance.class_name))
-        self._extents[instance.class_name].append(instance)
-        self._by_oid[instance.oid] = instance
-        self.version += 1
-        return instance
-
     def insert_many(
         self, class_name: str, rows: Iterable[Mapping[str, Any]]
     ) -> List[ObjectInstance]:

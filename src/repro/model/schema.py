@@ -65,10 +65,6 @@ class Schema:
         self._classes[class_def.name] = class_def
         return class_def
 
-    def new_class(self, name: str, parents: Iterable[str] = ()) -> ClassDef:
-        """Create, add and return an empty class — fluent builder entry."""
-        return self.add_class(ClassDef(name, parents=parents))
-
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every :meth:`FSM.query <repro.federation.fsm.FSM.query>` builds a fresh
 engine, and the seed re-lifted every component extent each time — N
 agent scans per query forever.  :class:`ExtentCache` memoizes scan
 results keyed by the ``(agent, schema, class)`` granule (each granule
-holding its ``(op, attribute)`` variants), with two invalidation paths:
+holding one entry per scan op, ``direct_extent`` or ``extent``; every
+value is a list of instances), with two invalidation paths:
 
 * **explicit** — :meth:`invalidate` by agent / schema / class, or
   :meth:`clear`;  sharded scans key a *fourth* coordinate —
@@ -47,10 +48,9 @@ attached each patched slice counts in ``lift_slices_patched``.
 The slices are dropped instead — one ``lift_slices_dropped`` per slice
 map — on every other path: a replacing :meth:`put`, a stale lookup,
 a fallback eviction (sequence gap, rescan marker, unpatchable chain),
-a patch of a variant that keeps no instances (value sets) or of a
-slice attached without a lifter, :meth:`invalidate`, :meth:`clear`,
-:meth:`bump_generation`, and a lift under a new mapping or schema
-context.  Slices live in memory only and never reach the persistent
+a patch of a slice attached without a lifter, :meth:`invalidate`,
+:meth:`clear`, :meth:`bump_generation`, and a lift under a new mapping
+or schema context.  Slices live in memory only and never reach the persistent
 tier.
 """
 
@@ -65,7 +65,7 @@ from typing import (
     ContextManager,
     Dict,
     Hashable,
-    Mapping,
+    List,
     NamedTuple,
     Optional,
     Sequence,
@@ -79,7 +79,7 @@ from .deltas import (
     ExtentPatch,
     chain_is_contiguous,
     describe_granule,
-    patch_variant,
+    patch_extent,
 )
 from .transport import ScanRequest
 
@@ -114,20 +114,9 @@ class EntryVersion(NamedTuple):
     component version its value had at the read."""
 
     key: Tuple[Any, ...]
-    variant: Tuple[str, Optional[str]]
+    op: str
     entry: _Entry
     source_generation: Optional[int]
-
-
-def _copy(value: Any) -> Any:
-    """Shallow-copy container results so callers cannot mutate the cache."""
-    if isinstance(value, list):
-        return list(value)
-    if isinstance(value, (set, frozenset)):
-        return set(value)
-    if isinstance(value, Mapping):
-        return dict(value)
-    return value
 
 
 class ExtentCache:
@@ -140,13 +129,9 @@ class ExtentCache:
         store: Optional["PersistentExtentStore"] = None,
         metrics: Optional["RuntimeMetrics"] = None,
     ) -> None:
-        self._granules: Dict[
-            Tuple[Any, ...], Dict[Tuple[str, Optional[str]], _Entry]
-        ] = {}
+        self._granules: Dict[Tuple[Any, ...], Dict[str, _Entry]] = {}
         self._generation = 0
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self._store = store
         self._metrics = metrics
         #: entries reloaded from the persistent store at construction
@@ -154,10 +139,10 @@ class ExtentCache:
         if store is not None:
             with self._persistence_timer():
                 self._generation = store.generation()
-                for key, variant, value, cache_generation, source_generation in (
+                for key, op, value, cache_generation, source_generation in (
                     store.load()
                 ):
-                    self._granules.setdefault(key, {})[variant] = _Entry(
+                    self._granules.setdefault(key, {})[op] = _Entry(
                         value, cache_generation, source_generation
                     )
                     self.restored += 1
@@ -171,11 +156,10 @@ class ExtentCache:
             if self._metrics is not None:
                 self._metrics.incr("lift_slices_dropped")
 
-    def _patch_slices(self, entry: _Entry, patch: Optional[ExtentPatch]) -> None:
+    def _patch_slices(self, entry: _Entry, patch: ExtentPatch) -> None:
         """Republish *entry*'s slices as patched copies after a replay
-        that changed its value as *patch* reports (None: the value keeps
-        no instances).  A slice map that cannot be patched is dropped.
-        The caller holds the lock."""
+        that changed its value as *patch* reports.  A slice map that
+        cannot be patched is dropped.  The caller holds the lock."""
         if entry.slices is None:
             return
         context, slices = entry.slices
@@ -183,13 +167,13 @@ class ExtentCache:
             patched: _Slices = {
                 name: (store.patched(lift(patch.displaced), lift(patch.final)), lift)
                 for name, (store, lift) in slices.items()
-                if patch is not None and lift is not None
+                if lift is not None
             }
         except BaseException:
             # the old slices no longer match the patched value
             self._drop_slices(entry)
             raise
-        if len(patched) < len(slices):  # a value set, or a slice without a lifter
+        if len(patched) < len(slices):  # a slice without a lifter
             self._drop_slices(entry)
             return
         entry.slices = (context, patched)
@@ -241,12 +225,11 @@ class ExtentCache:
         (None on a miss) — the handle :meth:`slice` and
         :meth:`attach_slice` take."""
         key = request.cache_key
-        variant = (request.op, request.attribute)
+        op = request.op
         with self._lock:
             granule = self._granules.get(key)
-            entry = granule.get(variant) if granule else None
+            entry = granule.get(op) if granule else None
             if entry is None:
-                self.misses += 1
                 return _MISS, None
             stale = entry.cache_generation != self._generation or (
                 source_generation is not None
@@ -254,33 +237,34 @@ class ExtentCache:
             )
             if stale:
                 assert granule is not None
-                self._evict_variant(key, granule, variant)
-                self.misses += 1
+                self._evict(key, granule, op)
                 return _MISS, None
-            self.hits += 1
-            return _copy(entry.value), EntryVersion(
-                key, variant, entry, entry.source_generation
+            return list(entry.value), EntryVersion(
+                key, op, entry, entry.source_generation
             )
 
     def put(
-        self, request: ScanRequest, value: Any, source_generation: Optional[int] = None
+        self,
+        request: ScanRequest,
+        value: List[Any],
+        source_generation: Optional[int] = None,
     ) -> EntryVersion:
         """Fill *request*'s entry; returns the new entry's version."""
         key = request.cache_key
-        variant = (request.op, request.attribute)
+        op = request.op
         with self._lock:
             granule = self._granules.setdefault(key, {})
-            replaced = granule.get(variant)
+            replaced = granule.get(op)
             if replaced is not None:
                 self._drop_slices(replaced)
-            entry = _Entry(_copy(value), self._generation, source_generation)
-            granule[variant] = entry
+            entry = _Entry(list(value), self._generation, source_generation)
+            granule[op] = entry
             if self._store is not None and source_generation is not None:
                 with self._persistence_timer():
                     self._store.put(
-                        key, variant, value, self._generation, source_generation
+                        key, op, value, self._generation, source_generation
                     )
-            return EntryVersion(key, variant, entry, source_generation)
+            return EntryVersion(key, op, entry, source_generation)
 
     # ------------------------------------------------------------------
     # lifted fact slices
@@ -317,7 +301,7 @@ class ExtentCache:
             granule = self._granules.get(version.key)
             if (
                 granule is None
-                or granule.get(version.variant) is not entry
+                or granule.get(version.op) is not entry
                 or entry.cache_generation != self._generation
                 or entry.source_generation != version.source_generation
             ):
@@ -344,13 +328,13 @@ class ExtentCache:
         *fetch* is called at most once per distinct stale entry version
         and answers with a :class:`~repro.runtime.deltas.DeltaReply`
         (or ``None`` when the store keeps no feed, which aborts the
-        sync untouched).  Variants the chain cannot patch — a sequence
-        gap, a rescan marker, a value-set delete — are **individually
-        evicted** (memory and persistent tier), never the whole cache:
-        the promised fallback is targeted granule invalidation, not a
-        generation bump.  Patched entries are written through to the
-        persistent store at the new version, so deltas survive a
-        restart without an agent scan.
+        sync untouched).  Entries the chain cannot patch — a sequence
+        gap, a rescan marker — are **individually evicted** (memory and
+        persistent tier), never the whole cache: the promised fallback
+        is targeted granule invalidation, not a generation bump.
+        Patched entries are written through to the persistent store at
+        the new version, so deltas survive a restart without an agent
+        scan.
         """
         outcome = DeltaOutcome()
         chains: Dict[int, Any] = {}
@@ -365,8 +349,8 @@ class ExtentCache:
                 if granule is None:
                     continue
                 shard_coord = key[3] if len(key) > 3 else None
-                for variant in list(granule):
-                    entry = granule[variant]
+                for op in list(granule):
+                    entry = granule[op]
                     if entry.cache_generation != self._generation:
                         continue  # condemned already; get() evicts lazily
                     since = entry.source_generation
@@ -388,9 +372,9 @@ class ExtentCache:
                             chain = None
                         chains[since] = chain
                     chain = chains[since]
-                    description = describe_granule(key, variant)
+                    description = describe_granule(key, op)
                     if chain is None:
-                        self._evict_variant(key, granule, variant)
+                        self._evict(key, granule, op)
                         outcome.fallbacks.append((description, "sequence gap"))
                         continue
                     relevant = [
@@ -400,11 +384,9 @@ class ExtentCache:
                         if record.relation == key[2]
                     ]
                     try:
-                        patch = patch_variant(
-                            entry.value, variant, relevant, shard_coord
-                        )
+                        patch = patch_extent(entry.value, relevant, shard_coord)
                     except DeltaUnpatchable as reason:
-                        self._evict_variant(key, granule, variant)
+                        self._evict(key, granule, op)
                         outcome.fallbacks.append((description, str(reason)))
                         continue
                     entry.source_generation = target_version
@@ -419,21 +401,18 @@ class ExtentCache:
                         with self._persistence_timer():
                             self._store.put(
                                 key,
-                                variant,
+                                op,
                                 entry.value,
                                 self._generation,
                                 target_version,
                             )
         return outcome
 
-    def _evict_variant(
-        self,
-        key: Tuple[Any, ...],
-        granule: Dict[Tuple[str, Optional[str]], _Entry],
-        variant: Tuple[str, Optional[str]],
+    def _evict(
+        self, key: Tuple[Any, ...], granule: Dict[str, _Entry], op: str
     ) -> None:
-        """Drop one variant (both tiers); the caller holds the lock."""
-        entry = granule.pop(variant, None)
+        """Drop one op's entry (both tiers); the caller holds the lock."""
+        entry = granule.pop(op, None)
         if entry is not None:
             self._drop_slices(entry)
         if not granule:
@@ -441,7 +420,7 @@ class ExtentCache:
             self._granules.pop(key, None)
         if self._store is not None:
             with self._persistence_timer():
-                self._store.delete(key, variant)
+                self._store.delete(key, op)
 
     # ------------------------------------------------------------------
     def invalidate(

@@ -19,9 +19,9 @@ hundred-thousand-row extents.  This module is the incremental path:
 * :meth:`ExtentCache.apply_deltas
   <repro.runtime.cache.ExtentCache.apply_deltas>` replays a contiguous
   chain onto every stale granule of the ``(agent, schema)`` pair —
-  patching extent lists by OID and value sets by insertion, honouring
-  shard ownership — and **falls back to targeted per-granule eviction,
-  never a full generation bump**, for anything un-patchable.
+  patching extent lists by OID, honouring shard ownership — and
+  **falls back to targeted per-granule eviction, never a full
+  generation bump**, for anything un-patchable.
 
 Records carry *mapped* instances: the adapter runs the §3 pipeline
 (type coercion, per-attribute data mappings, FK resolution) on the
@@ -50,7 +50,7 @@ DEFAULT_LOG_CAPACITY = 256
 
 
 class DeltaUnpatchable(Exception):
-    """A chain cannot be replayed onto one cache variant; evict instead."""
+    """A chain cannot be replayed onto one cache entry; evict instead."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,11 +186,11 @@ class DeltaOutcome:
     """What one :meth:`ExtentCache.apply_deltas` sync accomplished."""
 
     #: feed entries (version steps) replayed, counted once per distinct
-    #: chain that patched at least one granule variant
+    #: chain that patched at least one cache entry
     deltas_applied: int = 0
-    #: cache variants brought to the target version in place
+    #: cache entries brought to the target version in place
     granules_patched: int = 0
-    #: ``(granule description, reason)`` for every variant evicted via
+    #: ``(granule description, reason)`` for every entry evicted via
     #: the targeted fallback — the exact account the stats owe callers
     fallbacks: List[Tuple[str, str]] = dataclasses.field(default_factory=list)
     #: the store keeps no feed; nothing was patched or evicted
@@ -216,10 +216,10 @@ class ExtentPatch(NamedTuple):
     final: List[Any]
 
 
-def _patch_extent(
+def patch_extent(
     value: List[Any],
     records: Sequence[DeltaRecord],
-    shard_coord: Optional[Tuple[Any, ...]],
+    shard_coord: Optional[Tuple[Any, ...]] = None,
 ) -> ExtentPatch:
     """Replay *records* onto an extent list in place (storage order),
     and report what the replay touched (:class:`ExtentPatch`).
@@ -227,7 +227,9 @@ def _patch_extent(
     Inserts land at the tail — new rows carry the highest tuple numbers,
     which is exactly where a rescan would put them — deletes splice out,
     and updates replace in position, so a patched list stays ordered the
-    way the adapter's scan orders it.
+    way the adapter's scan orders it.  Raises :class:`DeltaUnpatchable`
+    when the list cannot absorb the chain; the caller evicts that entry
+    (and only that entry).
     """
     displaced: List[Any] = []
     final: Dict[Any, Any] = {}
@@ -259,74 +261,15 @@ def _patch_extent(
     return ExtentPatch(displaced, list(final.values()))
 
 
-def _patch_value_set(
-    value: Any,
-    records: Sequence[DeltaRecord],
-    attribute: Optional[str],
-    shard_coord: Optional[Tuple[Any, ...]],
-) -> None:
-    """Replay *records* onto a cached value set in place.
-
-    Only inserts are patchable: a set has no multiplicity, so removing
-    a deleted or overwritten value could drop one still contributed by
-    another instance.  Deletes and updates raise, routing the variant
-    to the targeted-eviction fallback.
-    """
-    for record in records:
-        if record.op != "insert":
-            raise DeltaUnpatchable(
-                f"value_set cannot replay {record.op!r} (no multiplicity)"
-            )
-        if record.oid is None or record.instance is None:
-            raise DeltaUnpatchable("insert record without an OID or instance")
-        if not _owned(record.oid, shard_coord):
-            continue
-        assert attribute is not None
-        inserted = record.instance.get(attribute)
-        if inserted is None:
-            continue
-        if isinstance(inserted, frozenset):
-            value.update(v for v in inserted if v is not None)
-        else:
-            value.add(inserted)
-
-
-def patch_variant(
-    value: Any,
-    variant: Tuple[str, Optional[str]],
-    records: Sequence[DeltaRecord],
-    shard_coord: Optional[Tuple[Any, ...]] = None,
-) -> Optional[ExtentPatch]:
-    """Replay *records* onto one cached variant's value in place.
-
-    Returns what an extent variant's replay touched (see
-    :func:`_patch_extent`), or ``None`` for a value set, which keeps no
-    instances.  Raises :class:`DeltaUnpatchable` when the variant cannot
-    absorb the chain; the caller evicts that variant (and only that
-    variant).
-    """
-    op, attribute = variant
-    if op in ("extent", "direct_extent"):
-        return _patch_extent(value, records, shard_coord)
-    if op == "value_set":
-        _patch_value_set(value, records, attribute, shard_coord)
-        return None
-    raise DeltaUnpatchable(f"unknown cache variant {op!r}")
-
-
-def describe_granule(
-    key: Tuple[Any, ...], variant: Tuple[str, Optional[str]]
-) -> str:
+def describe_granule(key: Tuple[Any, ...], op: str) -> str:
     """A granule name in :meth:`ScanRequest.describe` vocabulary —
-    ``op(agent#index/of:schema.class.attribute)`` — so fallback stats
-    read like every other per-granule account."""
-    op, attribute = variant
+    ``op(agent#index/of:schema.class)`` — so fallback stats read like
+    every other per-granule account."""
     endpoint = str(key[0])
     if len(key) > 3:
         index, of = key[3]
         endpoint = f"{endpoint}#{index}/{of}"
-    suffix = f".{attribute}" if attribute else ""
-    return f"{op}({endpoint}:{key[1]}.{key[2]}{suffix})"
+    return f"{op}({endpoint}:{key[1]}.{key[2]})"
 
 
 #: signature the cache expects for the per-sync chain fetcher

@@ -32,10 +32,10 @@ Counter vocabulary (all monotonic):
                         (cache-off runtimes only; never cached)
 ``lost_granules``       granules lost when their batch's dispatch failed
 ``deltas_applied``      delta-feed version steps replayed into the cache
-``granules_patched``    cache variants patched in place by delta chains
-``fallback_invalidations``  variants evicted because a delta chain could
-                        not patch them (gap / rescan marker / value-set
-                        delete) — targeted eviction, never a full bump
+``granules_patched``    cache entries patched in place by delta chains
+``fallback_invalidations``  entries evicted because a delta chain could
+                        not patch them (gap / rescan marker) —
+                        targeted eviction, never a full bump
 ``lift_slices_built`` / ``lift_slices_reused``  lifted fact slices built
                         from a cached extent, or served from its entry
 ``lift_slices_patched`` slices a delta chain republished as patched
@@ -43,10 +43,9 @@ Counter vocabulary (all monotonic):
                         instead of dropping them
 ``lift_slices_dropped`` slice maps dropped with their cache entry's value:
                         a replacing fill, a stale eviction, a fallback
-                        eviction of a delta sync, a patch of a value set,
-                        an explicit invalidation or clear, a generation
-                        bump, or a re-lift under a new mapping/schema
-                        context
+                        eviction of a delta sync, an explicit
+                        invalidation or clear, a generation bump, or a
+                        re-lift under a new mapping/schema context
 
 Timer vocabulary includes the ``persistence`` phase: every persistent
 extent-store interaction (the warm-restart reload, spills on fill,
@@ -92,7 +91,7 @@ HISTOGRAMS: Dict[str, Tuple[str, str]] = {
     # granule descriptions lost to failed coalesced dispatches
     "lost_granules": ("lost_granules", "lost granules"),
     # granule descriptions evicted because a delta chain could not
-    # patch them — exactly which variants a broken feed forced to rescan
+    # patch them — exactly which entries a broken feed forced to rescan
     "fallback_invalidations": ("fallback_invalidations", "fallback invalidations"),
     # shard endpoints absent from merged answers
     "missing_shards": ("missing_shards", "missing shards"),

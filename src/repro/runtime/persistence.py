@@ -10,9 +10,9 @@ reloaded on construction, so a federation restarted with the same cache
 path warms up without a single agent scan.
 
 Entries are keyed by the **full granule coordinate** — agent, schema,
-class, the shard coordinate ``(index, of)`` when sharded,
-and the ``(op, attribute)`` variant — and stamped with both the cache
-generation and the component database ``version`` observed through
+class, the shard coordinate ``(index, of)`` when sharded, and the
+scan op (``direct_extent`` or ``extent``) — and stamped with both the
+cache generation and the component database ``version`` observed through
 :meth:`AgentTransport.generation <repro.runtime.transport.AgentTransport.generation>`
 at fill time.  Restored entries therefore obey exactly the live cache's
 invalidation rules: a component write after the restart mismatches the
@@ -49,17 +49,14 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 #: bump when the table layout or the value encoding changes; files
 #: written under any other version are discarded, never misread
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: one granule coordinate: ``(agent, schema, class)`` or
 #: ``(agent, schema, class, (index, of))``
 GranuleKey = Tuple[Any, ...]
 
-#: one entry within a granule: ``(op, attribute)``
-Variant = Tuple[str, Optional[str]]
-
-#: a restored entry: key, variant, value, cache generation, source generation
-StoredEntry = Tuple[GranuleKey, Variant, Any, int, Optional[int]]
+#: a restored entry: key, op, value, cache generation, source generation
+StoredEntry = Tuple[GranuleKey, str, Any, int, Optional[int]]
 
 _SHARD_SEPARATOR = "/"
 
@@ -77,11 +74,10 @@ _TABLES = (
         class_name        TEXT NOT NULL,
         shard             TEXT NOT NULL,
         op                TEXT NOT NULL,
-        attribute         TEXT NOT NULL,
         value             BLOB NOT NULL,
         cache_generation  INTEGER NOT NULL,
         source_generation INTEGER NOT NULL,
-        PRIMARY KEY (agent, schema_name, class_name, shard, op, attribute)
+        PRIMARY KEY (agent, schema_name, class_name, shard, op)
     )
     """,
 )
@@ -215,25 +211,23 @@ class PersistentExtentStore:
                 "DELETE FROM granules WHERE cache_generation != ?", (current,)
             )
             rows = self._conn.execute(
-                "SELECT agent, schema_name, class_name, shard, op, attribute,"
+                "SELECT agent, schema_name, class_name, shard, op,"
                 "       value, cache_generation, source_generation FROM granules"
             ).fetchall()
-            doomed: List[Tuple[str, str, str, str, str, str]] = []
+            doomed: List[Tuple[str, str, str, str, str]] = []
             entries: List[StoredEntry] = []
             for row in rows:
-                (agent, schema_name, class_name, shard, op, attribute,
+                (agent, schema_name, class_name, shard, op,
                  blob, cache_generation, source_generation) = row
                 try:
                     value = pickle.loads(blob)
                 except Exception:  # noqa: BLE001 - any undecodable row is dropped
-                    doomed.append(
-                        (agent, schema_name, class_name, shard, op, attribute)
-                    )
+                    doomed.append((agent, schema_name, class_name, shard, op))
                     continue
                 entries.append(
                     (
                         _decode_key(agent, schema_name, class_name, shard),
-                        (op, attribute or None),
+                        op,
                         value,
                         int(cache_generation),
                         int(source_generation),
@@ -242,7 +236,7 @@ class PersistentExtentStore:
             for coordinates in doomed:
                 self._conn.execute(
                     "DELETE FROM granules WHERE agent = ? AND schema_name = ? "
-                    "AND class_name = ? AND shard = ? AND op = ? AND attribute = ?",
+                    "AND class_name = ? AND shard = ? AND op = ?",
                     coordinates,
                 )
         return iter(entries)
@@ -250,42 +244,39 @@ class PersistentExtentStore:
     def put(
         self,
         key: GranuleKey,
-        variant: Variant,
+        op: str,
         value: Any,
         cache_generation: int,
         source_generation: int,
     ) -> None:
-        op, attribute = variant
         with self._lock, self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO granules (agent, schema_name, class_name,"
-                " shard, op, attribute, value, cache_generation, source_generation)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " shard, op, value, cache_generation, source_generation)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     key[0],
                     key[1],
                     key[2],
                     _encode_shard(key),
                     op,
-                    attribute or "",
                     pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
                     cache_generation,
                     source_generation,
                 ),
             )
 
-    def delete(self, key: GranuleKey, variant: Variant) -> None:
-        """Drop one ``(op, attribute)`` entry of one granule."""
-        op, attribute = variant
+    def delete(self, key: GranuleKey, op: str) -> None:
+        """Drop one op's entry of one granule."""
         with self._lock, self._conn:
             self._conn.execute(
                 "DELETE FROM granules WHERE agent = ? AND schema_name = ? "
-                "AND class_name = ? AND shard = ? AND op = ? AND attribute = ?",
-                (key[0], key[1], key[2], _encode_shard(key), op, attribute or ""),
+                "AND class_name = ? AND shard = ? AND op = ?",
+                (key[0], key[1], key[2], _encode_shard(key), op),
             )
 
     def delete_granule(self, key: GranuleKey) -> None:
-        """Drop every variant of one granule coordinate."""
+        """Drop every op's entry of one granule coordinate."""
         with self._lock, self._conn:
             self._conn.execute(
                 "DELETE FROM granules WHERE agent = ? AND schema_name = ? "

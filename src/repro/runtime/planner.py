@@ -1,7 +1,7 @@
 """The federation query planner: prune, coalesce, push down.
 
 The runtime executes one :class:`~repro.runtime.transport.ScanRequest`
-per (agent, class, op, attribute); a multi-class query or Appendix-B
+per (agent, class, op); a multi-class query or Appendix-B
 rule evaluation therefore pays many round-trips per agent.  This module
 plans a :class:`~repro.federation.query.FederatedQuery` into a
 :class:`QueryPlan` before any scan is dispatched:

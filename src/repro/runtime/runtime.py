@@ -5,7 +5,7 @@ to: it owns a transport, the concurrent executor (retries, timeouts,
 circuit breakers), the extent cache and the metrics collector, and
 exposes the scan API the evaluation paths need —
 
-* :meth:`direct_extent` / :meth:`extent` / :meth:`value_set` for single
+* :meth:`direct_extent` / :meth:`extent` for single concept-extension
   scans (the Appendix B :class:`~repro.federation.evaluation.AgentSource`
   hot path);
 * :meth:`scan_extents` for the fact-lifting fan-out: all component
@@ -76,7 +76,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -209,11 +208,10 @@ class FederationRuntime:
         schema_name: str,
         class_name: str,
         op: str = "direct_extent",
-        attribute: Optional[str] = None,
         where: Selection = (),
     ) -> ScanRequest:
         agent = self.transport.agent_for_schema(schema_name)
-        return ScanRequest(agent, schema_name, class_name, op, attribute, where=where)
+        return ScanRequest(agent, schema_name, class_name, op, where=where)
 
     # ------------------------------------------------------------------
     # single scans
@@ -221,24 +219,18 @@ class FederationRuntime:
     def direct_extent(
         self, schema_name: str, class_name: str
     ) -> List[ObjectInstance]:
-        return self._fetch(self.request(schema_name, class_name, "direct_extent"), [])
+        return self._fetch(self.request(schema_name, class_name, "direct_extent"))
 
     def extent(self, schema_name: str, class_name: str) -> List[ObjectInstance]:
-        return self._fetch(self.request(schema_name, class_name, "extent"), [])
+        return self._fetch(self.request(schema_name, class_name, "extent"))
 
-    def value_set(
-        self, schema_name: str, class_name: str, attribute: str
-    ) -> Set[Any]:
-        return self._fetch(
-            self.request(schema_name, class_name, "value_set", attribute), set()
-        )
-
-    def _fetch(self, request: ScanRequest, empty: Any) -> Any:
-        """One scan through cache + executor, honouring the failure policy."""
+    def _fetch(self, request: ScanRequest) -> List[ObjectInstance]:
+        """One scan through cache + executor, honouring the failure policy
+        (under ``partial`` a failed scan comes back empty)."""
         self.metrics.incr("requests")
         if self.shard_plan is not None:
             extents = self._scan_extents_sharded([request], fan_out=False)
-            return extents.get((request.schema, request.class_name), empty)
+            return extents.get((request.schema, request.class_name), [])
         cached, _ = self._cache_lookup(request)
         if cached is not MISS:
             return cached
@@ -252,7 +244,7 @@ class FederationRuntime:
             warning = f"{request.describe()}: {error}"
             self.last_warnings.append(warning)
             self.metrics.incr("partial_results")
-            return empty
+            return []
         self._cache_put(request, value)
         return value
 
@@ -439,7 +431,7 @@ class FederationRuntime:
         """Replay the component's delta feed onto stale cached granules
         of this request's ``(agent, schema)`` before the freshness
         check, so a single-row write patches instead of forcing rescans.
-        Un-patchable variants are individually evicted and accounted in
+        Un-patchable entries are individually evicted and accounted in
         ``fallback_invalidations`` — never a full generation bump."""
         outcome = self.cache.apply_deltas(
             request.agent,

@@ -34,9 +34,9 @@ and ``missing_endpoints`` names it; under ``error`` the query raises.
 
 Merging is the dual of the scatter: extent slices concatenate in shard
 order with duplicates dropped by OID (a retried shard can never double
-a fact), value-set slices union.  Missing shards are reported per
-logical request so the caller's failure policy can either refuse or
-degrade with an exact account of what is absent.
+a fact).  Missing shards are reported per logical request so the
+caller's failure policy can either refuse or degrade with an exact
+account of what is absent.
 """
 
 from __future__ import annotations
@@ -234,24 +234,19 @@ def split_requests(
 _NO_OID = object()
 
 
-def merge_shard_values(op: str, slices: Sequence[Any]) -> Any:
+def merge_shard_values(op: str, slices: Sequence[Any]) -> List[Any]:
     """Fold per-shard scan results back into one logical result.
 
     Extent slices concatenate in the given (shard) order with OID-level
     dedup — the first occurrence wins, so a shard that answered twice
-    (retry races) can never duplicate a fact.
-    Value-set slices union.  An instance without an ``.oid`` cannot be
-    keyed and raises :class:`~repro.errors.ShardMergeError` — hashing
-    the object itself would silently collapse distinct-but-equal facts.
+    (retry races) can never duplicate a fact.  An instance without an
+    ``.oid`` cannot be keyed and raises
+    :class:`~repro.errors.ShardMergeError` — hashing the object itself
+    would silently collapse distinct-but-equal facts.
 
     Both modes hand this fold the same instance lists, and warm slices
     come from the cache.
     """
-    if op == "value_set":
-        merged: set = set()
-        for piece in slices:
-            merged.update(piece)
-        return merged
     seen: set = set()
     result: List[Any] = []
     for piece in slices:

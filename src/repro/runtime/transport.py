@@ -2,8 +2,9 @@
 
 The paper's FSM pulls one concept extension per agent call (§3,
 Appendix B); :class:`AgentTransport` is that call made explicit.  A
-:class:`ScanRequest` names the agent, schema, class and operation; the
-transport performs it and returns the raw value.
+:class:`ScanRequest` names the agent, schema, class and operation —
+the class's ``direct_extent`` or its whole ``extent``; the transport
+performs it and returns the list of instances.
 
 Two implementations ship:
 
@@ -42,13 +43,13 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import RegistrationError, TransportError
 from ..federation.agent import FSMAgent
-from ..model.store import Selection, describe_selection, value_set_of
+from ..model.store import Selection, describe_selection
 
 if TYPE_CHECKING:  # sharding imports ScanRequest; only the type flows back
     from .sharding import ShardSpec
 
 #: operations a transport can perform against one class of one schema
-_OPS = ("direct_extent", "extent", "value_set")
+_OPS = ("direct_extent", "extent")
 
 #: most scripted-failure attempt counters a simulated network retains;
 #: the oldest are evicted past this, so long-running traffic over many
@@ -85,15 +86,12 @@ class ScanRequest:
     schema: str
     class_name: str
     op: str = "direct_extent"
-    attribute: Optional[str] = None
     shard: Optional["ShardSpec"] = None
     where: Selection = ()
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise TransportError(f"unknown scan op {self.op!r}; choose from {_OPS}")
-        if self.op == "value_set" and not self.attribute:
-            raise TransportError("value_set scans need an attribute")
         if self.where and self.op != "direct_extent":
             raise TransportError("only direct_extent scans take a selection")
 
@@ -124,9 +122,7 @@ class ScanRequest:
         return key
 
     def describe(self) -> str:
-        suffix = f".{self.attribute}" if self.attribute else ""
-        if self.where:
-            suffix += f" where {describe_selection(self.where)}"
+        suffix = f" where {describe_selection(self.where)}" if self.where else ""
         return f"{self.op}({self.endpoint}:{self.schema}.{self.class_name}{suffix})"
 
     @property
@@ -182,7 +178,6 @@ class BatchScanRequest:
     def describe(self) -> str:
         ops = ", ".join(
             f"{request.op}:{request.schema}.{request.class_name}"
-            + (f".{request.attribute}" if request.attribute else "")
             for request in self.requests
         )
         return f"batch[{len(self.requests)}]({self.endpoint}: {ops})"
@@ -322,24 +317,11 @@ class InProcessTransport(AgentTransport):
                 tuple(self.perform(granule) for granule in request.requests)
             )
         agent = self._agent(request.agent)
-        shard = request.shard
         if request.op == "direct_extent":
             return agent.fetch_direct_extent(
-                request.schema, request.class_name, shard, request.where
+                request.schema, request.class_name, request.shard, request.where
             )
-        if request.op == "extent":
-            return agent.fetch_extent(request.schema, request.class_name, shard)
-        assert request.attribute is not None
-        if shard is None:
-            return agent.fetch_value_set(
-                request.schema, request.class_name, request.attribute
-            )
-        # a shard's value set is computed over the slice it owns, with
-        # the same flattening semantics as ObjectDatabase.value_set
-        return value_set_of(
-            agent.fetch_extent(request.schema, request.class_name, shard),
-            request.attribute,
-        )
+        return agent.fetch_extent(request.schema, request.class_name, request.shard)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,7 +14,7 @@ the ``lifespan`` handshake for startup/shutdown hooks.
 from __future__ import annotations
 
 import json
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Tuple
 from urllib.parse import parse_qs
 
 from ..errors import PayloadError
@@ -47,10 +47,6 @@ class Request:
         self.query: Dict[str, List[str]] = parse_qs(
             query_string.decode("latin-1"), keep_blank_values=True
         )
-
-    def query_param(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        values = self.query.get(name)
-        return values[-1] if values else default
 
     def json(self) -> Any:
         """The decoded JSON body; ``None`` for an empty body.

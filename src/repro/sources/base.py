@@ -818,15 +818,13 @@ class MemorySourceAdapter(SourceAdapter):
         """Append one raw row, bump the version and log the delta."""
         spec = self._writable(relation_name, row)
         rows = self._rows.setdefault(relation_name, [])
+        number = len(rows) + 1
+        # translate first: a row the §3 coercion refuses is never stored
+        instance = self._lift_row(spec, number, row)
         rows.append(dict(row))
         base, self._version = self._version, self._version + 1
         records = [
-            DeltaRecord(
-                "insert",
-                spec.name,
-                self._oid(spec.name, len(rows)),
-                self._lift_row(spec, len(rows), rows[-1]),
-            )
+            DeltaRecord("insert", spec.name, self._oid(spec.name, number), instance)
         ]
         # a new pk value may resolve previously-dangling references in
         # relations that point here; their extents need a rescan
@@ -846,15 +844,11 @@ class MemorySourceAdapter(SourceAdapter):
             spec.primary_key in changes
             and changes[spec.primary_key] != row.get(spec.primary_key)
         )
+        instance = self._lift_row(spec, number, {**row, **changes})
         row.update(changes)
         base, self._version = self._version, self._version + 1
         records = [
-            DeltaRecord(
-                "update",
-                spec.name,
-                self._oid(spec.name, number),
-                self._lift_row(spec, number, row),
-            )
+            DeltaRecord("update", spec.name, self._oid(spec.name, number), instance)
         ]
         if pk_moved:
             records.extend(

@@ -153,6 +153,9 @@ class CsvSourceAdapter(SourceAdapter):
         path = self._file_for(relation_name)
         header = self._read_header(path)
         base = self.source_version()
+        number = self.count_rows(relation_name) + 1
+        # translate first: a row the §3 coercion refuses is never written
+        instance = self._lift_row(spec, number, dict(row))
         try:
             with path.open("a", newline="", encoding=self.encoding) as handle:
                 csv.writer(handle).writerow(
@@ -163,14 +166,8 @@ class CsvSourceAdapter(SourceAdapter):
             raise SourceUnavailableError(
                 f"csv source {self.name!r}: cannot write {path.name!r}: {error}"
             ) from error
-        number = self.count_rows(relation_name)
         records = [
-            DeltaRecord(
-                "insert",
-                spec.name,
-                self._oid(spec.name, number),
-                self._lift_row(spec, number, dict(row)),
-            )
+            DeltaRecord("insert", spec.name, self._oid(spec.name, number), instance)
         ]
         records.extend(
             DeltaRecord("rescan", referrer)

@@ -176,15 +176,13 @@ class JsonSourceAdapter(SourceAdapter):
         spec = self._writable(relation_name, row)
         stored = self._load(relation_name)
         base = self.source_version()
+        number = len(stored) + 1
+        # translate first: a row the §3 coercion refuses is never written
+        instance = self._lift_row(spec, number, dict(row))
         stored.append(dict(row))
         self._dump(relation_name, stored)
         deltas = [
-            DeltaRecord(
-                "insert",
-                spec.name,
-                self._oid(spec.name, len(stored)),
-                self._lift_row(spec, len(stored), dict(row)),
-            )
+            DeltaRecord("insert", spec.name, self._oid(spec.name, number), instance)
         ]
         deltas.extend(
             DeltaRecord("rescan", referrer)
@@ -210,15 +208,11 @@ class JsonSourceAdapter(SourceAdapter):
             and changes[spec.primary_key] != record.get(spec.primary_key)
         )
         record.update(changes)
+        instance = self._lift_row(spec, number, record)
         stored[number - 1] = record
         self._dump(relation_name, stored)
         deltas = [
-            DeltaRecord(
-                "update",
-                spec.name,
-                self._oid(spec.name, number),
-                self._lift_row(spec, number, record),
-            )
+            DeltaRecord("update", spec.name, self._oid(spec.name, number), instance)
         ]
         if pk_moved:
             deltas.extend(

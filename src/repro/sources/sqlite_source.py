@@ -486,7 +486,8 @@ class SqliteSourceAdapter(SourceAdapter):
         (assigned keys, column defaults and affinity applied).  A row
         whose rowid falls below the tail (an explicit INTEGER PRIMARY
         KEY) renumbers every later row, so its relation is marked for
-        rescan instead.
+        rescan instead.  The row is lifted inside the write transaction,
+        so a row the §3 coercion refuses rolls the insert back.
         """
         spec = self._writable(relation_name, row)
         base = self.source_version()
@@ -503,22 +504,15 @@ class SqliteSourceAdapter(SourceAdapter):
                 f"SELECT max({rowid}) = ?, count(*) FROM {_quote(spec.name)}",
                 (cursor.lastrowid,),
             ).fetchone()
-            stored = (
-                self._stored_row(connection, spec, cursor.lastrowid)
-                if at_tail
-                else None
-            )
-        if stored is None:  # rows after the new one renumber
-            records = [DeltaRecord("rescan", spec.name)]
-        else:
+            stored = self._stored_row(connection, spec, cursor.lastrowid)
+            assert stored is not None  # just inserted, same transaction
+            instance = self._lift_row(spec, number, stored)
+        if at_tail:
             records = [
-                DeltaRecord(
-                    "insert",
-                    spec.name,
-                    self._oid(spec.name, number),
-                    self._lift_row(spec, number, stored),
-                )
+                DeltaRecord("insert", spec.name, self._oid(spec.name, number), instance)
             ]
+        else:  # rows after the new one renumber
+            records = [DeltaRecord("rescan", spec.name)]
         # a new pk value may resolve dangling references into it
         return self._log_delta(
             base, self.source_version(), self._with_referrers(spec, records)
@@ -529,10 +523,12 @@ class SqliteSourceAdapter(SourceAdapter):
     ) -> int:
         """Update row *number* (1-based storage order) and log the delta.
 
-        The delta carries the row as stored after the update.  An update
-        that changes the row's rowid (an INTEGER PRIMARY KEY) moves it
-        in storage order and renumbers rows, so its relation is marked
-        for rescan instead of patched.
+        The delta carries the row as stored after the update, lifted
+        inside the write transaction so that a row the §3 coercion
+        refuses rolls the update back.  An update that changes the row's
+        rowid (an INTEGER PRIMARY KEY) moves it in storage order and
+        renumbers rows, so its relation is marked for rescan instead of
+        patched.
         """
         spec = self._writable(relation_name, changes)
         base = self.source_version()
@@ -548,17 +544,23 @@ class SqliteSourceAdapter(SourceAdapter):
                 [*changes.values(), rowid],
             )
             stored = self._stored_row(connection, spec, rowid)
-        if stored is None:  # the row left its rowid
-            records = [DeltaRecord("rescan", spec.name)]
-        else:
-            records = [
-                DeltaRecord(
-                    "update",
-                    spec.name,
-                    self._oid(spec.name, number),
-                    self._lift_row(spec, number, stored),
+            if stored is None:  # the row left its rowid
+                # its INTEGER PRIMARY KEY moved it: check the row there
+                moved = self._stored_row(
+                    connection, spec, changes.get(spec.primary_key)
                 )
-            ]
+                if moved is not None:
+                    self._lift_row(spec, number, moved)
+                records = [DeltaRecord("rescan", spec.name)]
+            else:
+                records = [
+                    DeltaRecord(
+                        "update",
+                        spec.name,
+                        self._oid(spec.name, number),
+                        self._lift_row(spec, number, stored),
+                    )
+                ]
         pk = spec.primary_key
         if stored is None or before is None or stored[pk] != before[pk]:
             records = self._with_referrers(spec, records)

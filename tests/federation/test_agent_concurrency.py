@@ -45,7 +45,7 @@ def test_mixed_scan_kinds_all_counted():
             if worker % 2:
                 agent.fetch_extent("S1", "person")
             else:
-                agent.fetch_value_set("S1", "person", "ssn#")
+                agent.fetch_direct_extent("S1", "person")
 
     with ThreadPoolExecutor(max_workers=THREADS) as pool:
         list(pool.map(hammer, range(THREADS)))

@@ -152,8 +152,7 @@ class TestAgentAccounting:
         agent = FSMAgent("a9")
         agent.host_object_database(databases["S1"])
         agent.fetch_extent("S1", "person")
-        agent.fetch_value_set("S1", "lecturer", "salary")
-        assert agent.access_count == 2
+        assert agent.access_count == 1
         assert ("S1", "person") in agent.accessed_classes
 
     def test_unknown_schema_rejected(self):

@@ -83,11 +83,6 @@ class TestInsertion:
         with pytest.raises(InstanceError):
             database.insert("Manager", {"e_name": 42})
 
-    def test_adopt_rejects_duplicate_oid(self, database):
-        [kim] = database.select("Empl", lambda o: o["e_name"] == "Kim")
-        with pytest.raises(InstanceError, match="already present"):
-            database.adopt(kim)
-
     def test_counts(self, database):
         assert database.counts() == {"Dept": 1, "Empl": 1, "Manager": 1}
         assert len(database) == 3

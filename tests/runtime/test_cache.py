@@ -74,10 +74,11 @@ class TestCachePrimitives:
     def test_miss_then_hit(self):
         cache = ExtentCache()
         request = ScanRequest("a1", "S1", "person")
-        assert cache.get(request) is MISS
+        assert cache.lookup(request) == (MISS, None)
         cache.put(request, [1, 2])
-        assert cache.get(request) == [1, 2]
-        assert cache.hits == 1 and cache.misses == 1
+        value, version = cache.lookup(request)
+        assert value == [1, 2]
+        assert version is not None and version.op == "direct_extent"
 
     def test_results_are_copied(self):
         cache = ExtentCache()
@@ -86,42 +87,31 @@ class TestCachePrimitives:
         cache.get(request).append(2)
         assert cache.get(request) == [1]
 
-    def test_mapping_results_are_copied(self):
-        """Regression: dict-shaped values used to be returned by
-        reference, letting callers mutate the cached entry in place."""
-        cache = ExtentCache()
-        request = ScanRequest("a1", "S1", "person")
-        cache.put(request, {"ann": 1})
-        returned = cache.get(request)
-        returned["bob"] = 2
-        returned["ann"] = 99
-        assert cache.get(request) == {"ann": 1}
-
     def test_stale_eviction_prunes_empty_granules(self):
-        """Regression: evicting the last stale variant stranded the
+        """Regression: evicting the last stale entry stranded the
         emptied granule dict in ``_granules`` forever."""
         cache = ExtentCache()
         request = ScanRequest("a1", "S1", "person")
         cache.put(request, [1], source_generation=1)
         assert cache.get(request, source_generation=2) is MISS  # evicts
         assert request.cache_key not in cache._granules
-        # a variant surviving next to the stale one keeps its granule
-        values = ScanRequest("a1", "S1", "person", "value_set", "ssn#")
+        # an entry surviving next to the stale one keeps its granule
+        full = ScanRequest("a1", "S1", "person", "extent")
         cache.put(request, [1], source_generation=1)
-        cache.put(values, {"x"}, source_generation=1)
+        cache.put(full, [2], source_generation=1)
         assert cache.get(request, source_generation=2) is MISS
-        assert cache.get(values, source_generation=1) == {"x"}
+        assert cache.get(full, source_generation=1) == [2]
         assert request.cache_key in cache._granules
 
     def test_variants_share_a_granule(self):
         cache = ExtentCache()
         direct = ScanRequest("a1", "S1", "person")
-        values = ScanRequest("a1", "S1", "person", "value_set", "ssn#")
+        full = ScanRequest("a1", "S1", "person", "extent")
         cache.put(direct, [1])
-        cache.put(values, {"x"})
+        cache.put(full, [2])
         assert len(cache) == 2
         assert cache.invalidate(class_name="person") == 1  # one granule
-        assert cache.get(direct) is MISS and cache.get(values) is MISS
+        assert cache.get(direct) is MISS and cache.get(full) is MISS
 
     def test_explicit_invalidation_by_coordinate(self):
         cache = ExtentCache()

@@ -1,12 +1,12 @@
-"""Delta primitives: the log, chain validation, variant patching.
+"""Delta primitives: the log, chain validation, extent patching.
 
 The contracts every delta consumer leans on: a :class:`DeltaLog` only
 serves contiguous suffixes that actually reach its head; chains that
 dropped, duplicated or reordered links never validate;
-:func:`patch_variant` either replays records exactly or raises
+:func:`patch_extent` either replays records exactly or raises
 :class:`DeltaUnpatchable` (no partial best-effort); and
 :meth:`ExtentCache.apply_deltas` patches in place, falls back to
-targeted per-variant eviction — never a generation bump — and leaves
+targeted per-entry eviction — never a generation bump — and leaves
 feedless stores untouched.
 """
 
@@ -24,7 +24,7 @@ from repro.runtime.deltas import (
     SourceDelta,
     chain_is_contiguous,
     describe_granule,
-    patch_variant,
+    patch_extent,
 )
 from repro.runtime.sharding import shard_of_oid
 from repro.runtime.transport import InProcessTransport
@@ -138,26 +138,23 @@ class TestChainContiguity:
 
 
 class TestPatchExtent:
-    VARIANT = ("extent", None)
-
     def test_insert_appends_at_the_tail(self):
         value = [FakeInstance(1)]
         new = FakeInstance(2)
-        patch_variant(value, self.VARIANT, [DeltaRecord("insert", "person", new.oid, new)])
+        patch_extent(value, [DeltaRecord("insert", "person", new.oid, new)])
         assert [i.oid.number for i in value] == [1, 2]
 
     def test_update_replaces_in_position(self):
         old, other = FakeInstance(1, name="a"), FakeInstance(2)
         value = [old, other]
         new = FakeInstance(1, name="b")
-        patch_variant(value, self.VARIANT, [DeltaRecord("update", "person", new.oid, new)])
+        patch_extent(value, [DeltaRecord("update", "person", new.oid, new)])
         assert value[0] is new and value[1] is other
 
     def test_delete_splices_and_tolerates_absence(self):
         value = [FakeInstance(1), FakeInstance(2)]
-        patch_variant(
+        patch_extent(
             value,
-            self.VARIANT,
             [
                 DeltaRecord("delete", "person", _oid(1)),
                 DeltaRecord("delete", "person", _oid(7)),  # already gone
@@ -167,19 +164,15 @@ class TestPatchExtent:
 
     def test_rescan_marker_is_unpatchable(self):
         with pytest.raises(DeltaUnpatchable):
-            patch_variant([], self.VARIANT, [DeltaRecord("rescan", "person")])
+            patch_extent([], [DeltaRecord("rescan", "person")])
 
     def test_insert_without_instance_is_unpatchable(self):
         with pytest.raises(DeltaUnpatchable):
-            patch_variant(
-                [], self.VARIANT, [DeltaRecord("insert", "person", _oid(1))]
-            )
+            patch_extent([], [DeltaRecord("insert", "person", _oid(1))])
 
     def test_record_without_oid_is_unpatchable(self):
         with pytest.raises(DeltaUnpatchable):
-            patch_variant(
-                [], self.VARIANT, [DeltaRecord("insert", "person")]
-            )
+            patch_extent([], [DeltaRecord("insert", "person")])
 
     def test_shard_coordinate_filters_ownership(self):
         new = FakeInstance(9)
@@ -188,65 +181,26 @@ class TestPatchExtent:
         stranger = (owner + 1) % of
         mine, not_mine = [], []
         record = DeltaRecord("insert", "person", new.oid, new)
-        patch_variant(mine, self.VARIANT, [record], (owner, of))
-        patch_variant(not_mine, self.VARIANT, [record], (stranger, of))
+        patch_extent(mine, [record], (owner, of))
+        patch_extent(not_mine, [record], (stranger, of))
         assert mine == [new] and not_mine == []
-
-    def test_unknown_variant_is_unpatchable(self):
-        with pytest.raises(DeltaUnpatchable):
-            patch_variant([], ("counts", None), [])
-
-
-class TestPatchValueSet:
-    VARIANT = ("value_set", "name")
-
-    def test_insert_adds_the_mapped_value(self):
-        value = {"a"}
-        new = FakeInstance(2, name="b")
-        patch_variant(value, self.VARIANT, [DeltaRecord("insert", "person", new.oid, new)])
-        assert value == {"a", "b"}
-
-    def test_multivalued_insert_flattens_and_skips_nulls(self):
-        value = set()
-        new = FakeInstance(2, name=frozenset({"x", None, "y"}))
-        null = FakeInstance(3)
-        patch_variant(
-            value,
-            self.VARIANT,
-            [
-                DeltaRecord("insert", "person", new.oid, new),
-                DeltaRecord("insert", "person", null.oid, null),
-            ],
-        )
-        assert value == {"x", "y"}
-
-    def test_delete_has_no_multiplicity_and_is_unpatchable(self):
-        with pytest.raises(DeltaUnpatchable):
-            patch_variant({"a"}, self.VARIANT, [DeltaRecord("delete", "person", _oid(1))])
-
-    def test_update_is_unpatchable(self):
-        new = FakeInstance(1, name="b")
-        with pytest.raises(DeltaUnpatchable):
-            patch_variant(
-                {"a"}, self.VARIANT, [DeltaRecord("update", "person", new.oid, new)]
-            )
 
 
 class TestDescribeGranule:
     def test_unsharded_and_attribute_forms(self):
         assert (
-            describe_granule(("a1", "S1", "person"), ("extent", None))
+            describe_granule(("a1", "S1", "person"), "extent")
             == "extent(a1:S1.person)"
         )
         assert (
-            describe_granule(("a1", "S1", "person"), ("value_set", "name"))
-            == "value_set(a1:S1.person.name)"
+            describe_granule(("a1", "S1", "person"), "direct_extent")
+            == "direct_extent(a1:S1.person)"
         )
 
     def test_sharded_form_names_the_endpoint(self):
         key = ("a1", "S1", "person", (2, 4))
         assert (
-            describe_granule(key, ("direct_extent", None))
+            describe_granule(key, "direct_extent")
             == "direct_extent(a1#2/4:S1.person)"
         )
 
@@ -309,21 +263,18 @@ class TestApplyDeltas:
 
     def test_unpatchable_variant_is_evicted_alone(self):
         cache = self._cache_with([FakeInstance(1)])
-        sibling = ScanRequest("a1", "S1", "person", op="value_set", attribute="name")
-        cache.put(sibling, {"a"}, source_generation=1)
-        gone = FakeInstance(1)
-        reply = DeltaReply(
-            (_step(1, 2, DeltaRecord("delete", "person", gone.oid)),)
-        )
+        sibling = ScanRequest("a1", "S1", "city", op="extent")
+        cache.put(sibling, [FakeInstance(3)], source_generation=1)
+        reply = DeltaReply((_step(1, 2, DeltaRecord("rescan", "person")),))
         outcome = cache.apply_deltas("a1", "S1", 2, lambda since: reply)
-        # the extent absorbed the delete; the value set cannot (a set
-        # has no multiplicity) and was evicted — alone
+        # the rescan marker condemns the person granule — alone; the
+        # city granule of the same schema absorbs the step untouched
         assert outcome.granules_patched == 1
-        assert [desc for desc, _ in outcome.fallbacks] == [
-            "value_set(a1:S1.person.name)"
+        assert outcome.fallbacks == [
+            ("extent(a1:S1.person)", "relation marked for rescan")
         ]
-        assert cache.get(self.REQUEST, 2) == []
-        assert cache.get(sibling, 2) is MISS
+        assert cache.get(self.REQUEST, 2) is MISS
+        assert [i.oid.number for i in cache.get(sibling, 2)] == [3]
 
     def test_fetch_is_memoized_per_since_version(self):
         cache = self._cache_with([FakeInstance(1)])

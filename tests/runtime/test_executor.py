@@ -186,7 +186,7 @@ class TestFanOut:
             FaultProfile(fail_times=100),
             RuntimePolicy(max_retries=0, backoff_base=0.0, max_workers=4),
         )
-        good = ScanRequest("a1", "S1", "person", "value_set", "ssn#")
+        good = ScanRequest("a1", "S1", "person", "extent")
         # scripted failures are per request: poison only the extent scan
         executor.transport.reset_scripts()
         executor.transport.set_profile("a1", FaultProfile())

@@ -51,7 +51,7 @@ COUNTERS = (
 )
 
 EXTENT = ScanRequest("a1", "S1", "person")
-VALUES = ScanRequest("a1", "S1", "person", "value_set", "ssn#")
+FULL = ScanRequest("a1", "S1", "person", "extent")
 OTHER = ScanRequest("a2", "S2", "person")
 #: routed to an agent nobody registered: the in-process hop raises
 #: RegistrationError, a ReproError the breaker must not count
@@ -261,7 +261,7 @@ ROWS = [
         "coalesced_batch",
         _policy(max_retries=1),
         {"a1": FaultProfile(fail_times=100)},
-        lambda harness: harness.run_coalesced(EXTENT, VALUES, OTHER),
+        lambda harness: harness.run_coalesced(EXTENT, FULL, OTHER),
         {
             "retries": 1,
             "transport_failures": 2,

@@ -7,6 +7,7 @@ write after the reopen — or a persisted ``bump_generation`` — still
 invalidates exactly as it does live.
 """
 
+import pickle
 import sqlite3
 
 import pytest
@@ -47,24 +48,24 @@ class TestStorePrimitives:
     def test_roundtrip_through_reopen(self, cache_path):
         store = PersistentExtentStore(cache_path)
         key = ("a1", "S1", "person")
-        store.put(key, ("direct_extent", None), [1, 2], 0, 7)
-        store.put(key, ("value_set", "ssn#"), {"x"}, 0, 7)
+        store.put(key, "direct_extent", [1, 2], 0, 7)
+        store.put(key, "extent", [3], 0, 7)
         assert len(store) == 2
         store.close()
 
         reopened = PersistentExtentStore(cache_path)
         assert not reopened.recovered
-        entries = {variant: value for _, variant, value, _, _ in reopened.load()}
-        assert entries == {("direct_extent", None): [1, 2], ("value_set", "ssn#"): {"x"}}
+        entries = {op: value for _, op, value, _, _ in reopened.load()}
+        assert entries == {"direct_extent": [1, 2], "extent": [3]}
         reopened.close()
 
     def test_sharded_key_roundtrip(self, cache_path):
         store = PersistentExtentStore(cache_path)
         key = ("a1", "S1", "person", (2, 7))
-        store.put(key, ("direct_extent", None), ["slice"], 0, 1)
+        store.put(key, "direct_extent", ["slice"], 0, 1)
         store.close()
         reopened = PersistentExtentStore(cache_path)
-        (restored_key, variant, value, cache_generation, source_generation), = list(
+        (restored_key, op, value, cache_generation, source_generation), = list(
             reopened.load()
         )
         assert restored_key == key
@@ -74,13 +75,13 @@ class TestStorePrimitives:
     def test_delete_and_clear(self, cache_path):
         store = PersistentExtentStore(cache_path)
         key = ("a1", "S1", "person")
-        store.put(key, ("direct_extent", None), [1], 0, 1)
-        store.put(key, ("extent", None), [2], 0, 1)
-        store.delete(key, ("direct_extent", None))
+        store.put(key, "direct_extent", [1], 0, 1)
+        store.put(key, "extent", [2], 0, 1)
+        store.delete(key, "direct_extent")
         assert len(store) == 1
         store.delete_granule(key)
         assert len(store) == 0
-        store.put(key, ("extent", None), [2], 0, 1)
+        store.put(key, "extent", [2], 0, 1)
         store.clear()
         assert len(store) == 0
         store.close()
@@ -96,11 +97,11 @@ class TestStorePrimitives:
 
     def test_load_purges_entries_from_older_generations(self, cache_path):
         store = PersistentExtentStore(cache_path)
-        store.put(("a1", "S1", "person"), ("direct_extent", None), [1], 0, 1)
+        store.put(("a1", "S1", "person"), "direct_extent", [1], 0, 1)
         store.set_generation(1)  # the entry above is now stale
-        store.put(("a1", "S1", "city"), ("direct_extent", None), [2], 1, 1)
+        store.put(("a1", "S1", "city"), "direct_extent", [2], 1, 1)
         assert list(store.load()) == [
-            (("a1", "S1", "city"), ("direct_extent", None), [2], 1, 1)
+            (("a1", "S1", "city"), "direct_extent", [2], 1, 1)
         ]
         assert len(store) == 1  # the stale row was deleted, not kept
         store.close()
@@ -114,13 +115,13 @@ class TestCrashSafety:
         assert len(store) == 0
         # the evidence is preserved next to the fresh store
         assert cache_path.with_name(cache_path.name + ".corrupt").exists()
-        store.put(("a1", "S1", "person"), ("direct_extent", None), [1], 0, 1)
+        store.put(("a1", "S1", "person"), "direct_extent", [1], 0, 1)
         store.close()
         assert not PersistentExtentStore(cache_path).recovered
 
     def test_format_version_mismatch_discards_the_file(self, cache_path):
         store = PersistentExtentStore(cache_path)
-        store.put(("a1", "S1", "person"), ("direct_extent", None), [1], 0, 1)
+        store.put(("a1", "S1", "person"), "direct_extent", [1], 0, 1)
         store.close()
         connection = sqlite3.connect(cache_path)
         with connection:
@@ -134,10 +135,56 @@ class TestCrashSafety:
         assert len(reopened) == 0
         reopened.close()
 
+    def test_format_2_file_restarts_the_runtime_cold(self, cache_path):
+        """A file of the format that keyed entries by ``(op, attribute)``
+        is moved aside, never misread: the runtime rescans and answers
+        from the component database."""
+        agent, database = build_single_agent()
+        connection = sqlite3.connect(cache_path)
+        with connection:
+            connection.execute(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
+            )
+            connection.execute(
+                "CREATE TABLE granules (agent TEXT NOT NULL,"
+                " schema_name TEXT NOT NULL, class_name TEXT NOT NULL,"
+                " shard TEXT NOT NULL, op TEXT NOT NULL, attribute TEXT NOT NULL,"
+                " value BLOB NOT NULL, cache_generation INTEGER NOT NULL,"
+                " source_generation INTEGER NOT NULL, PRIMARY KEY"
+                " (agent, schema_name, class_name, shard, op, attribute))"
+            )
+            connection.executemany(
+                "INSERT INTO meta (key, value) VALUES (?, ?)",
+                [("format", 2), ("generation", 0)],
+            )
+            # an empty extent stamped with the live version: restoring
+            # it would answer nothing
+            connection.execute(
+                "INSERT INTO granules VALUES"
+                " ('a1', 'S1', 'person', '', 'direct_extent', '', ?, 0, ?)",
+                (pickle.dumps([]), database.version),
+            )
+        connection.close()
+        runtime = FederationRuntime(agents={"a1": agent}, cache_path=cache_path)
+        assert cache_path.with_name(cache_path.name + ".corrupt").exists()
+        assert runtime.stats().counter("cache_restores") == 0
+        answers = [i.oid for i in runtime.direct_extent("S1", "person")]
+        assert answers == [i.oid for i in database.direct_extent("person")]
+        assert agent.access_count == 1  # a cold scan, not a restore
+        runtime.close()
+
+        restarted_agent, _ = build_single_agent()
+        restarted = FederationRuntime(
+            agents={"a1": restarted_agent}, cache_path=cache_path
+        )
+        assert [i.oid for i in restarted.direct_extent("S1", "person")] == answers
+        assert restarted_agent.access_count == 0  # the format-3 file restores
+        restarted.close()
+
     def test_undecodable_value_row_is_dropped_not_fatal(self, cache_path):
         store = PersistentExtentStore(cache_path)
-        store.put(("a1", "S1", "person"), ("direct_extent", None), [1], 0, 1)
-        store.put(("a1", "S1", "city"), ("direct_extent", None), [2], 0, 1)
+        store.put(("a1", "S1", "person"), "direct_extent", [1], 0, 1)
+        store.put(("a1", "S1", "city"), "direct_extent", [2], 0, 1)
         store.close()
         connection = sqlite3.connect(cache_path)
         with connection:

@@ -51,6 +51,3 @@ class TestMergeShardValuesOids:
             first,
             second,
         ]
-
-    def test_value_set_merge_needs_no_oids(self):
-        assert merge_shard_values("value_set", [{1, 2}, {2, 3}]) == {1, 2, 3}

@@ -175,18 +175,6 @@ class TestWarmRestartParity:
 
 
 class TestValueSetParity:
-    def test_sharded_value_sets_union_to_the_baseline(self, cluster_builder):
-        fsm = cluster_builder()
-        baseline = fsm.use_runtime(RuntimePolicy())
-        expected = baseline.value_set("S1", "person0", "ssn#")
-        assert expected
-        for plan in (ShardPlan(2),):
-            sharded = cluster_builder()
-            runtime = sharded.use_runtime(RuntimePolicy(), shard_plan=plan)
-            assert runtime.value_set("S1", "person0", "ssn#") == expected
-            # warm repeat merges cached shard slices
-            assert runtime.value_set("S1", "person0", "ssn#") == expected
-
     def test_component_write_visible_through_shard_granules(self, cluster_builder):
         fsm = cluster_builder()
         runtime = fsm.use_runtime(RuntimePolicy(), shard_plan=ShardPlan(4))

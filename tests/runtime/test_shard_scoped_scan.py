@@ -14,7 +14,6 @@ import pytest
 
 from repro.errors import RuntimeFederationError
 from repro.federation import FSMAgent
-from repro.model.store import value_set_of
 from repro.runtime import InProcessTransport, ShardPlan, shard_of_oid
 from repro.runtime.transport import ScanRequest
 from repro.sources import load_source_federation
@@ -136,14 +135,8 @@ def test_transport_serves_the_scoped_slice(stores, plan):
         for op in ("direct_extent", "extent"):
             request = ScanRequest("agent-hospital", "hospital", "person", op, shard=spec)
             assert transport.perform(request) == spec.filter_instances(full)
-        request = ScanRequest(
-            "agent-hospital", "hospital", "person", "value_set", "level", shard=spec
-        )
-        assert transport.perform(request) == value_set_of(
-            spec.filter_instances(full), "level"
-        )
     # one counted access per shard request, as for any scan
-    assert agent.access_count == 3 * plan.shards
+    assert agent.access_count == 2 * plan.shards
 
 
 def test_hash_is_the_only_plan_kind():

@@ -30,12 +30,8 @@ class TestScanRequest:
         with pytest.raises(TransportError, match="unknown scan op"):
             ScanRequest("a1", "S1", "person", op="explode")
 
-    def test_value_set_needs_attribute(self):
-        with pytest.raises(TransportError, match="attribute"):
-            ScanRequest("a1", "S1", "person", op="value_set")
-
     def test_cache_key_is_agent_schema_class(self):
-        request = ScanRequest("a1", "S1", "person", "value_set", "name")
+        request = ScanRequest("a1", "S1", "person", "extent")
         assert request.cache_key == ("a1", "S1", "person")
 
 
@@ -45,11 +41,7 @@ class TestInProcessTransport:
         extent = transport.perform(ScanRequest("a1", "S1", "person"))
         assert len(extent) == 2
         full = transport.perform(ScanRequest("a1", "S1", "person", "extent"))
-        assert len(full) == 2
-        values = transport.perform(
-            ScanRequest("a1", "S1", "person", "value_set", "name")
-        )
-        assert values == {"ann", "bob"}
+        assert sorted(instance["name"] for instance in full) == ["ann", "bob"]
 
     def test_counts_agent_accesses(self, agents):
         transport = InProcessTransport(agents)
@@ -84,13 +76,13 @@ class TestSimulatedNetworkTransport:
         simulated = SimulatedNetworkTransport(InProcessTransport(agents))
         simulated.set_profile("a1", FaultProfile(fail_times=1))
         first = ScanRequest("a1", "S1", "person")
-        second = ScanRequest("a1", "S1", "person", "value_set", "name")
+        second = ScanRequest("a1", "S1", "person", "extent")
         with pytest.raises(TransportError):
             simulated.perform(first)
         with pytest.raises(TransportError):
             simulated.perform(second)  # its own fresh failure budget
         assert len(simulated.perform(first)) == 2
-        assert simulated.perform(second) == {"ann", "bob"}
+        assert len(simulated.perform(second)) == 2
 
     def test_reset_scripts_restores_failures(self, agents):
         simulated = SimulatedNetworkTransport(InProcessTransport(agents))
@@ -137,7 +129,7 @@ class TestSideTableBounds:
         simulated = SimulatedNetworkTransport(InProcessTransport(agents))
         for index in range(50):
             simulated.perform(
-                ScanRequest("a1", "S1", "person", "value_set", "ssn#")
+                ScanRequest("a1", "S1", "person", "extent")
                 if index % 2
                 else ScanRequest("a1", "S1", "person")
             )
@@ -184,7 +176,7 @@ class TestPerItemTransferPricing:
         batch = BatchScanRequest(
             (
                 ScanRequest("a1", "S1", "person"),  # 2 instances
-                ScanRequest("a1", "S1", "person", "value_set", "name"),  # 2 values
+                ScanRequest("a1", "S1", "person", "extent"),  # 2 instances
             )
         )
         result = simulated.perform(batch)
@@ -198,7 +190,7 @@ class TestPerItemTransferPricing:
         simulated = self._simulated(agents, naps)
         granules = (
             ScanRequest("a1", "S1", "person"),
-            ScanRequest("a1", "S1", "person", "value_set", "ssn#"),
+            ScanRequest("a1", "S1", "person", "extent"),
         )
         simulated.perform(BatchScanRequest(granules))
         batched = sum(naps)

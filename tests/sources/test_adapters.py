@@ -11,11 +11,11 @@ import sqlite3
 
 import pytest
 
-from repro.errors import SourceConfigError, UnknownClassError
+from repro.errors import SourceConfigError, SourceFormatError, UnknownClassError
 from repro.model.aggregations import Cardinality
 from repro.model.datatypes import DataType
 from repro.runtime import RuntimePolicy
-from repro.runtime.deltas import DeltaUnpatchable, patch_variant
+from repro.runtime.deltas import DeltaUnpatchable, patch_extent
 from repro.sources import (
     CsvSourceAdapter,
     JsonSourceAdapter,
@@ -190,7 +190,7 @@ def _patched_or_rescanned(adapter, write):
         if record.relation == "t"
     ]
     try:
-        patch_variant(cached, ("direct_extent", None), records)
+        patch_extent(cached, records)
     except DeltaUnpatchable:
         cached = adapter.scan("t")
     return records, cached, adapter.scan("t")
@@ -440,3 +440,66 @@ class TestSourceDatabaseStore:
         # hospital stores "L3"-style strings; the value set is mapped ints
         levels = databases["hospital"].value_set("person", "level")
         assert levels and levels <= {1, 2, 3, 4, 5}
+
+
+ROOM = RelationSpec(
+    "room", (Column("id", DataType.INTEGER), Column("floor", DataType.INTEGER))
+)
+
+
+def _room_adapter(kind, tmp_path):
+    """One backend holding ``room(id INTEGER, floor INTEGER)`` = (1, 1)."""
+    if kind == "memory":
+        return MemorySourceAdapter("rooms", {"room": [{"id": 1, "floor": 1}]}, [ROOM])
+    if kind == "sqlite":
+        path = tmp_path / "rooms.db"
+        connection = sqlite3.connect(path)
+        connection.execute("CREATE TABLE room (id INTEGER PRIMARY KEY, floor INTEGER)")
+        connection.execute("INSERT INTO room VALUES (1, 1)")
+        connection.commit()
+        connection.close()
+        return SqliteSourceAdapter(path)
+    directory = tmp_path / kind
+    directory.mkdir()
+    if kind == "csv":
+        (directory / "room.csv").write_text("id,floor\n1,1\n")
+        return CsvSourceAdapter(directory, relations=[ROOM])
+    (directory / "room.json").write_text('[{"id": 1, "floor": 1}]')
+    return JsonSourceAdapter(directory, relations=[ROOM])
+
+
+@pytest.mark.parametrize(
+    "kind, write",
+    [
+        ("memory", lambda a: a.insert("room", {"id": 2, "floor": "three"})),
+        ("memory", lambda a: a.update_row("room", 1, {"floor": "three"})),
+        ("csv", lambda a: a.append_row("room", {"id": 2, "floor": "three"})),
+        ("json", lambda a: a.append_row("room", {"id": 2, "floor": "three"})),
+        ("json", lambda a: a.update_row("room", 1, {"floor": "three"})),
+        ("sqlite", lambda a: a.insert_row("room", {"id": 2, "floor": "three"})),
+        ("sqlite", lambda a: a.update_row("room", 1, {"floor": "three"})),
+        ("sqlite", lambda a: a.update_row("room", 1, {"id": 5, "floor": "three"})),
+    ],
+    ids=[
+        "memory-insert",
+        "memory-update_row",
+        "csv-append_row",
+        "json-append_row",
+        "json-update_row",
+        "sqlite-insert_row",
+        "sqlite-update_row",
+        "sqlite-update_row-moving-the-rowid",
+    ],
+)
+def test_a_write_refused_by_coercion_changes_nothing(kind, write, tmp_path):
+    """A row the §3 coercion refuses must leave the store, its version
+    and its delta feed as they were, so later scans still succeed."""
+    adapter = _room_adapter(kind, tmp_path)
+    version = adapter.source_version()
+    rows = list(adapter.fetch_numbered_rows(ROOM))
+    with pytest.raises(SourceFormatError):
+        write(adapter)
+    assert adapter.source_version() == version
+    assert list(adapter.fetch_numbered_rows(ROOM)) == rows
+    assert len(adapter._delta_log) == 0
+    assert [(i.get("id"), i.get("floor")) for i in adapter.scan("room")] == [(1, 1)]
