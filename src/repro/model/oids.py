@@ -18,9 +18,9 @@ instead of guessing.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import Dict, Iterator, Tuple
+import operator
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 from ..errors import OIDError
 
@@ -38,30 +38,100 @@ def _check_component(field: str, value: str) -> None:
         )
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class OID:
+class OID(str):
     """A federation-wide object identifier.
 
     Attributes mirror the five dotted parts of the paper's scheme:
     *agent*, *system*, *database*, *relation* and the tuple *number*.
+
+    An OID is stored as its dotted string: a ``str`` subclass with no
+    instance attributes, so hashing one runs in C (``str.__hash__``,
+    cached on the object) and depends on its value, never its address.
+    The fact indexes and per-object records of
+    :class:`~repro.logic.engine.FactStore` key on OIDs, so a probe calls
+    no Python code.  It is not a tuple: an OID equals only another OID
+    with the same parts, never its dotted string or a plain 5-tuple.
+    OIDs order by ``(agent, system, database, relation, number)``, the
+    number as a number; each part is read back from the string.
     """
 
-    agent: str
-    system: str
-    database: str
-    relation: str
-    number: int
+    __slots__ = ()
+    __hash__ = str.__hash__
 
-    def __post_init__(self) -> None:
-        for field in _FIELDS:
-            _check_component(field, getattr(self, field))
-        if self.number < 0:
-            raise OIDError(f"OID number must be non-negative, got {self.number}")
-
-    def __str__(self) -> str:
-        return SEPARATOR.join(
-            (self.agent, self.system, self.database, self.relation, str(self.number))
+    def __new__(
+        cls, agent: str, system: str, database: str, relation: str, number: int
+    ) -> "OID":
+        for field, value in zip(_FIELDS, (agent, system, database, relation)):
+            _check_component(field, value)
+        if number < 0:
+            raise OIDError(f"OID number must be non-negative, got {number}")
+        return super().__new__(
+            cls, SEPARATOR.join((agent, system, database, relation, str(number)))
         )
+
+    @property
+    def agent(self) -> str:
+        return self.split(SEPARATOR, 1)[0]
+
+    @property
+    def system(self) -> str:
+        return self.split(SEPARATOR, 2)[1]
+
+    @property
+    def database(self) -> str:
+        return self.split(SEPARATOR, 3)[2]
+
+    @property
+    def relation(self) -> str:
+        return self.split(SEPARATOR, 4)[3]
+
+    @property
+    def number(self) -> int:
+        return int(self.rpartition(SEPARATOR)[2])
+
+    def parts(self) -> Tuple[str, str, str, str, int]:
+        """``(agent, system, database, relation, number)`` in one split."""
+        agent, system, database, relation, number = self.split(SEPARATOR)
+        return agent, system, database, relation, int(number)
+
+    def __repr__(self) -> str:
+        agent, system, database, relation, number = self.parts()
+        return (
+            f"OID(agent={agent!r}, system={system!r}, database={database!r}, "
+            f"relation={relation!r}, number={number!r})"
+        )
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        return OID, self.parts()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OID):
+            return str.__eq__(self, other)
+        # a dotted string is not an OID (str.__eq__ would say it is)
+        return False if isinstance(other, str) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def _order(self, other: object, compare: Callable[[Any, Any], bool]) -> bool:
+        if isinstance(other, OID):
+            return compare(self.parts(), other.parts())
+        if isinstance(other, str):  # str's own ordering would accept it
+            raise TypeError(f"an OID does not order against a str: {other!r}")
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        return self._order(other, operator.lt)
+
+    def __le__(self, other: object) -> bool:
+        return self._order(other, operator.le)
+
+    def __gt__(self, other: object) -> bool:
+        return self._order(other, operator.gt)
+
+    def __ge__(self, other: object) -> bool:
+        return self._order(other, operator.ge)
 
     @classmethod
     def parse(cls, text: str) -> "OID":
@@ -85,18 +155,11 @@ class OID:
         paper replaces the tuple number with the attribute name here.
         """
         _check_component("attribute", attribute)
-        return SEPARATOR.join(
-            (self.agent, self.system, self.database, self.relation, attribute)
-        )
+        return self.rpartition(SEPARATOR)[0] + SEPARATOR + attribute
 
     def same_source(self, other: "OID") -> bool:
         """True when both OIDs come from the same relation of the same DB."""
-        return (
-            self.agent == other.agent
-            and self.system == other.system
-            and self.database == other.database
-            and self.relation == other.relation
-        )
+        return self.parts()[:4] == other.parts()[:4]
 
 
 class OIDGenerator:

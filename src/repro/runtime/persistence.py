@@ -48,8 +48,9 @@ from pathlib import Path
 from typing import Any, Iterator, List, Optional, Tuple
 
 #: bump when the table layout or the value encoding changes; files
-#: written under any other version are discarded, never misread
-FORMAT_VERSION = 3
+#: written under any other version are discarded, never misread (4: an
+#: OID pickles as its five parts, no longer as a dataclass's state)
+FORMAT_VERSION = 4
 
 #: one granule coordinate: ``(agent, schema, class)`` or
 #: ``(agent, schema, class, (index, of))``

@@ -6,9 +6,11 @@ is the reference: on random small stratified programs with recursion
 and negation, both must derive the same facts, the base must come out
 untouched, evaluations sharing one base must not see each other's
 facts, and the layered result's ``len``/``facts``/``predicates``/
-iteration must be exact (benchmark counters read them).
+iteration must be exact (benchmark counters read them).  A patched
+store's per-object records must equal records rebuilt from its facts.
 """
 
+import copy
 from typing import Dict, List, Set
 
 from hypothesis import given, settings, strategies as st
@@ -246,3 +248,33 @@ def test_layers_behave_as_their_union(placed, added):
             assert store.contains(predicate, (value, 1)) == flat.contains(
                 predicate, (value, 1)
             )
+
+
+FACT = st.one_of(
+    st.tuples(st.sampled_from(["a", "b", "c"]), DOMAIN, DOMAIN),
+    st.tuples(st.sampled_from(["u", "a"]), DOMAIN),  # unary, and two arities
+)
+
+
+def flat(facts) -> FactStore:
+    store = FactStore()
+    for predicate, *values in facts:
+        store.add(predicate, tuple(values))
+    return store
+
+
+@SETTINGS
+@given(st.lists(FACT, max_size=25), st.lists(FACT, max_size=8), st.lists(FACT, max_size=8))
+def test_patched_records_equal_records_rebuilt(facts, removed, added):
+    """``patched`` carries the records over, rebuilding only the touched
+    objects' ones: they equal records built from scratch over the new
+    store's facts, and the parent's records are left as they were."""
+    store = flat(facts)
+    before = copy.deepcopy(store.records())
+    patched = store.patched(flat(removed), flat(added))
+    assert patched._records is not None  # kept, not dropped for a rebuild
+    rebuilt = FactStore()
+    for predicate, values in patched:
+        rebuilt.add(predicate, values)
+    assert patched.records() == rebuilt.records()
+    assert store.records() == before

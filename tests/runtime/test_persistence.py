@@ -178,8 +178,35 @@ class TestCrashSafety:
             agents={"a1": restarted_agent}, cache_path=cache_path
         )
         assert [i.oid for i in restarted.direct_extent("S1", "person")] == answers
-        assert restarted_agent.access_count == 0  # the format-3 file restores
+        assert restarted_agent.access_count == 0  # the rewritten file restores
         restarted.close()
+
+    def test_format_3_file_restarts_the_runtime_cold(self, cache_path):
+        """A file of the format whose OIDs pickled as dataclasses is moved
+        aside and the runtime starts cold, answering from the database."""
+        agent, database = build_single_agent()
+        store = PersistentExtentStore(cache_path)
+        store.close()
+        connection = sqlite3.connect(cache_path)
+        with connection:
+            connection.execute("UPDATE meta SET value = 3 WHERE key = 'format'")
+            # an empty extent stamped with the live version: restoring
+            # it would answer nothing
+            connection.execute(
+                "INSERT INTO granules VALUES"
+                " ('a1', 'S1', 'person', '', 'direct_extent', ?, 0, ?)",
+                (pickle.dumps([]), database.version),
+            )
+        connection.close()
+        runtime = FederationRuntime(agents={"a1": agent}, cache_path=cache_path)
+        assert runtime.cache._store.recovered
+        assert cache_path.with_name(cache_path.name + ".corrupt").exists()
+        assert runtime.stats().counter("cache_restores") == 0
+        answers = [i.oid for i in runtime.direct_extent("S1", "person")]
+        assert answers == [i.oid for i in database.direct_extent("person")]
+        assert len(answers) == 3
+        assert agent.access_count == 1  # a cold scan, not a restore
+        runtime.close()
 
     def test_undecodable_value_row_is_dropped_not_fatal(self, cache_path):
         store = PersistentExtentStore(cache_path)
