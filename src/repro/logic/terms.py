@@ -18,6 +18,7 @@ import itertools
 from typing import Any, Union
 
 from ..errors import LogicError
+from ..model.oids import OID
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,7 +50,10 @@ class Constant:
             ) from None
 
     def __str__(self) -> str:
-        return repr(self.value) if isinstance(self.value, str) else str(self.value)
+        # an OID subclasses str but prints in its dotted form
+        if isinstance(self.value, str) and not isinstance(self.value, OID):
+            return repr(self.value)
+        return str(self.value)
 
 
 Term = Union[Variable, Constant]

@@ -21,6 +21,8 @@ import datetime
 import enum
 from typing import Any
 
+from .oids import OID
+
 
 class DataType(enum.Enum):
     """The six primitive attribute types of the paper's object model."""
@@ -72,6 +74,8 @@ def conforms(value: Any, data_type: DataType) -> bool:
     """
     if value is None:
         return True
+    if isinstance(value, OID):  # an identifier, though it subclasses str
+        return False
     if data_type is DataType.BOOLEAN:
         return isinstance(value, bool)
     if data_type is DataType.INTEGER:

@@ -52,10 +52,10 @@ def json_safe(value: Any) -> Any:
 
 def _json_safe_subclass(value: Any) -> Any:
     """:func:`json_safe` for values whose exact type it does not list."""
+    if isinstance(value, OID):  # before str, which it subclasses
+        return str(value)
     if isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, OID):
-        return str(value)
     if isinstance(value, Mapping):
         return {str(key): json_safe(item) for key, item in value.items()}
     if isinstance(value, (set, frozenset)):

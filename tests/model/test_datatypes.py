@@ -5,6 +5,7 @@ import datetime
 import pytest
 
 from repro.model.datatypes import DataType, conforms, default_value
+from repro.model.oids import OID
 
 
 class TestParse:
@@ -49,6 +50,12 @@ class TestConforms:
     def test_string(self):
         assert conforms("hello", DataType.STRING)
         assert not conforms(42, DataType.STRING)
+
+    def test_an_oid_is_not_a_string(self):
+        # OID subclasses str; it is still an identifier, not a value
+        oid = OID("a", "s", "d", "r", 1)
+        for data_type in DataType:
+            assert not conforms(oid, data_type)
 
     def test_date(self):
         assert conforms(datetime.date(1999, 3, 23), DataType.DATE)

@@ -78,6 +78,11 @@ class TestValidation:
         with pytest.raises(InstanceError, match="conform"):
             instance.validate_against(empl_class)
 
+    def test_oid_in_string_attribute_rejected(self, empl_class):
+        instance = ObjectInstance(oid(), "Empl", {"e_name": oid(2)})
+        with pytest.raises(InstanceError, match="conform"):
+            instance.validate_against(empl_class)
+
     def test_scalar_in_multivalued_slot_rejected(self, empl_class):
         instance = ObjectInstance(oid(), "Empl")
         instance._attributes["skills"] = "sql"  # bypass normalization
