@@ -155,7 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulated per-agent-call latency in milliseconds",
     )
     query.add_argument(
-        "--workers", type=int, default=8, help="fan-out thread pool size"
+        "--workers",
+        type=int,
+        default=8,
+        help="fan-out thread pool size for scans that wait (--latency)",
     )
     query.add_argument(
         "--mode",

@@ -47,55 +47,51 @@ import zlib
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import RuntimeFederationError, ShardMergeError
-from ..model.oids import OID
+from ..model.oids import OID, SEPARATOR
 from .transport import ScanRequest
 
 #: one entry per distinct relation coordinate; bounded so long-running
 #: traffic over ever-new relations (dynamic federations, test churn)
 #: cannot grow the memo without limit — eviction only costs a re-CRC
 @functools.lru_cache(maxsize=4096)
-def _relation_digest(agent: Any, system: Any, database: Any, relation: Any) -> int:
-    return zlib.crc32(f"{agent}.{system}.{database}.{relation}".encode("utf-8"))
+def _relation_digest(prefix: str) -> int:
+    """CRC32 of a relation's dotted coordinate ``agent.system.db.relation``."""
+    return zlib.crc32(prefix.encode("utf-8"))
 
 
-def _number_owner(coordinate: Tuple[Any, ...], shards: int) -> Callable[[int], int]:
+def _number_owner(prefix: str, shards: int) -> Callable[[int], int]:
     """Tuple number → owning shard index within one relation.
 
-    *coordinate* is ``(agent, system, database, relation)``, the OID
+    *prefix* is ``agent.system.database.relation``, the dotted OID
     prefix a §3 transformation gives every tuple of the relation; the
-    returned function is the whole ownership formula.  The coordinate
-    is digested once here (``hash()`` is salted per interpreter, so a
-    CRC keeps owners stable across processes) and the number mixed in
-    per call.
+    returned function is the whole ownership formula.  The prefix is
+    digested once here (``hash()`` is salted per interpreter, so a CRC
+    keeps owners stable across processes) and the number mixed in per
+    call.
     """
     if shards <= 1:
         return lambda number: 0
-    digest = _relation_digest(*coordinate)
+    digest = _relation_digest(prefix)
     # Knuth multiplicative mixing keeps consecutive numbers uniform
     return lambda number: (digest ^ ((number * 0x9E3779B1) & 0xFFFFFFFF)) % shards
-
-
-def _relation_of(oid: Any) -> Optional[Tuple[Any, ...]]:
-    """The relation coordinate whose number formula owns *oid*, or None
-    when only its string form can decide (Skolem tokens, non-OID
-    identities)."""
-    return oid.parts()[:4] if isinstance(oid, OID) else None
 
 
 def shard_of_oid(oid: Any, shards: int) -> int:
     """The shard index owning *oid* among *shards*.
 
     A §3 OID ``agent.system.db.relation.n`` is owned by its tuple
-    number's shard within the relation (:func:`_number_owner`).  Skolem
-    tokens and other non-OID identities fall back to a CRC of their
-    string form — every identity is owned by exactly one shard either way.
+    number's shard within the relation (:func:`_number_owner`); one
+    ``rpartition`` splits it into the relation prefix and the number.
+    Skolem tokens and other non-OID identities fall back to a CRC of
+    their string form — every identity is owned by exactly one shard
+    either way.
     """
     if shards <= 1:
         return 0
-    coordinate = _relation_of(oid)
-    if coordinate is None:
+    if not isinstance(oid, OID):
         return zlib.crc32(str(oid).encode("utf-8")) % shards
-    return _number_owner(coordinate, shards)(oid.number)
+    prefix, _, number = oid.rpartition(SEPARATOR)
+    return _number_owner(prefix, shards)(int(number))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,7 +133,10 @@ class ShardSpec:
         Build it once per scan: a source tests each row's number before
         the §3 transformation, so rows another shard owns cost nothing.
         """
-        owner = _number_owner((agent, system, database, relation), self.of)
+        return self._prefix_predicate(f"{agent}.{system}.{database}.{relation}")
+
+    def _prefix_predicate(self, prefix: str) -> Callable[[int], bool]:
+        owner = _number_owner(prefix, self.of)
         index = self.index
         return lambda number: owner(number) == index
 
@@ -147,23 +146,24 @@ class ShardSpec:
         Sources decide ownership before the transformation
         (:meth:`number_predicate`); this is the same test over
         instances already built — an in-memory object database's
-        extents — with one predicate per relation.
+        extents — with one predicate per relation, keyed by the OID's
+        dotted prefix, so each OID is parsed by one ``rpartition``.
         """
         if self.of <= 1:
             return list(instances)
-        predicates: Dict[Tuple[Any, ...], Callable[[int], bool]] = {}
+        predicates: Dict[str, Callable[[int], bool]] = {}
         owned: List[Any] = []
         for instance in instances:
             oid = instance.oid
-            coordinate = _relation_of(oid)
-            if coordinate is None:
+            if not isinstance(oid, OID):
                 if self.owns(oid):
                     owned.append(instance)
                 continue
-            predicate = predicates.get(coordinate)
+            prefix, _, number = oid.rpartition(SEPARATOR)
+            predicate = predicates.get(prefix)
             if predicate is None:
-                predicate = predicates[coordinate] = self.number_predicate(*coordinate)
-            if predicate(oid.number):
+                predicate = predicates[prefix] = self._prefix_predicate(prefix)
+            if predicate(int(number)):
                 owned.append(instance)
         return owned
 

@@ -9,12 +9,17 @@ foreign keys, and fuzzy and conversion mappings.
 """
 
 import collections
+import random
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RuntimeFederationError
 from repro.federation import FSMAgent
-from repro.runtime import InProcessTransport, ShardPlan, shard_of_oid
+from repro.model import OID
+from repro.runtime import InProcessTransport, ShardPlan, ShardSpec, shard_of_oid
 from repro.runtime.transport import ScanRequest
 from repro.sources import load_source_federation
 from repro.workloads import (
@@ -143,3 +148,92 @@ def test_hash_is_the_only_plan_kind():
     assert ShardPlan(4, "hash") == ShardPlan(4)
     with pytest.raises(RuntimeFederationError, match="unknown shard plan kind"):
         ShardPlan(4, "range")
+
+
+# ---------------------------------------------------------------------------
+# The ownership formula, written out: a sharded scan parses each OID with
+# one rpartition, and must still pick exactly the owner this formula does.
+
+
+def _reference_owner(identity, shards):
+    """CRC32 of the dotted relation prefix mixed with the tuple number;
+    a CRC of the string form for anything that is not an OID."""
+    if shards <= 1:
+        return 0
+    if not isinstance(identity, OID):
+        return zlib.crc32(str(identity).encode("utf-8")) % shards
+    agent, system, database, relation, number = identity.parts()
+    digest = zlib.crc32(f"{agent}.{system}.{database}.{relation}".encode("utf-8"))
+    return (digest ^ ((number * 0x9E3779B1) & 0xFFFFFFFF)) % shards
+
+
+class _Instance:
+    def __init__(self, oid):
+        self.oid = oid
+
+
+def _identities():
+    """3,200 OIDs over 24 relations, plus Skolem tokens and plain strings."""
+    rng = random.Random(31)
+    relations = [
+        (f"agent{a}", system, f"db{d}", relation)
+        for a in range(2)
+        for system in ("sqlite", "memory")
+        for d in range(2)
+        for relation in ("person", "rel-b", "Fact_3")
+    ][:24]
+    oids = [
+        OID(*rng.choice(relations), rng.randrange(0, 1 << 40))
+        for _ in range(3_200)
+    ]
+    tokens = [("sk", "uncle", f"p{index}") for index in range(60)]
+    return oids + tokens + [f"tok-{index}" for index in range(40)]
+
+
+IDENTITIES = _identities()
+
+
+@pytest.mark.parametrize("shards", range(1, 9))
+def test_owners_agree_with_the_reference_formula(shards):
+    expected = [_reference_owner(identity, shards) for identity in IDENTITIES]
+    assert [shard_of_oid(identity, shards) for identity in IDENTITIES] == expected
+    instances = [_Instance(identity) for identity in IDENTITIES]
+    for index in range(shards):
+        spec = ShardSpec(index, shards)
+        owned = [owner == index for owner in expected]
+        assert [spec.owns(identity) for identity in IDENTITIES] == owned
+        assert spec.filter_instances(instances) == [
+            instance for instance, mine in zip(instances, owned) if mine
+        ]
+
+
+@pytest.mark.parametrize(
+    "identity, owners",
+    [
+        (OID("agent1", "memory", "S1", "person0", 1), [0, 1, 0, 3, 3, 3, 2, 3]),
+        (
+            OID("FSMagent1", "informix", "PatientDB", "patient-records", 5),
+            [0, 1, 0, 3, 0, 3, 1, 3],
+        ),
+        (OID("big", "object", "BIG", "fact", 2047), [0, 1, 0, 1, 3, 3, 3, 1]),
+        (("sk", "uncle", "John"), [0, 1, 2, 3, 4, 5, 2, 3]),
+    ],
+)
+def test_owners_are_stable(identity, owners):
+    """Owners persist in shard-granular cache files: pin a few."""
+    assert [shard_of_oid(identity, shards) for shards in range(1, 9)] == owners
+
+
+_names = st.sampled_from(["a", "b", "agent1", "person", "rel-b", "Z"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(OID, _names, _names, _names, _names, st.integers(0, 10**6)),
+        max_size=40,
+    )
+)
+def test_oids_sort_by_their_parts(oids):
+    assert sorted(oids) == sorted(oids, key=OID.parts)
+    assert sorted(oids, reverse=True) == sorted(oids, key=OID.parts, reverse=True)
