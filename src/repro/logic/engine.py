@@ -973,6 +973,70 @@ def compile_body(
     return plan, params
 
 
+class Goal:
+    """A conjunction of goal atoms compiled once: its join plan, its
+    parameters (the atoms' constants, in body order) and the answer
+    columns, one per distinct variable in order of first appearance.
+
+    *columns* renames those variables in the answer dicts; a repeated
+    column keeps its first position and its last value, as successive
+    dict assignments would.  :meth:`bind` swaps the parameters and keeps
+    the rest, so one compiled goal serves every constant of its shape.
+    """
+
+    __slots__ = ("predicates", "plan", "params", "columns", "_take")
+
+    def __init__(self, atoms: Sequence[Atom], columns: Optional[Sequence[str]] = None) -> None:
+        plan, params = compile_body([Literal(atom) for atom in atoms])
+        names = tuple(
+            dict.fromkeys(
+                arg.name for atom in atoms for arg in atom.args if isinstance(arg, Variable)
+            )
+        )
+        if columns is not None and len(columns) != len(names):
+            raise EvaluationError(
+                f"{len(columns)} answer columns for {len(names)} goal variables"
+            )
+        #: the predicates the goal reads, each once, in body order
+        self.predicates = tuple(dict.fromkeys(atom.predicate for atom in atoms))
+        self.plan = plan
+        self.params = params
+        self.columns = names if columns is None else tuple(columns)
+        self._take = _take([plan.slots[name] for name in names])
+
+    @classmethod
+    def of(cls, goals: Sequence[Union[Atom, "Goal"]]) -> "Goal":
+        """*goals* as one compiled goal: a lone :class:`Goal` as it is,
+        atoms compiled with their variable names as the columns."""
+        if len(goals) == 1 and isinstance(goals[0], Goal):
+            return goals[0]
+        return cls(goals)  # type: ignore[arg-type]
+
+    def bind(self, params: Sequence[Any]) -> "Goal":
+        """This goal with other constants in its constants' places."""
+        for value in params:
+            Constant(value)  # refuses an unhashable value, as compiling it would
+        bound = Goal.__new__(Goal)
+        bound.predicates, bound.plan, bound.columns, bound._take = (
+            self.predicates,
+            self.plan,
+            self.columns,
+            self._take,
+        )
+        bound.params = tuple(params)
+        return bound
+
+    def values(self, store: FactStore) -> List[Row]:
+        """Each answer's column values, in column order."""
+        take = self._take
+        return [take(row) for row in self.plan.run(store, self.params)]
+
+    def answers(self, store: FactStore) -> List[Dict[str, Any]]:
+        """Each answer as a dict from column to value, built once."""
+        columns, take = self.columns, self._take
+        return [dict(zip(columns, take(row))) for row in self.plan.run(store, self.params)]
+
+
 def _derive(
     rule: DatalogRule,
     store: FactStore,
@@ -1055,9 +1119,10 @@ class QueryEngine:
     [{'y': 'Bill'}]
 
     Materialization happens once, lazily, and is reused across queries.
+    *rules* may be surface rules or already flat ones.
     """
 
-    def __init__(self, rules: Iterable[Rule], base: FactStore) -> None:
+    def __init__(self, rules: Iterable[Union[Rule, DatalogRule]], base: FactStore) -> None:
         self._rules = compile_rules(rules)
         self._base = base
         self._materialized: Optional[FactStore] = None
@@ -1072,17 +1137,10 @@ class QueryEngine:
         """Drop the materialization (call after base facts change)."""
         self._materialized = None
 
-    def ask(self, *goals: Atom) -> List[Dict[str, Any]]:
-        """Answers to the conjunction of *goals* as variable bindings."""
-        plan, params = compile_body([Literal(goal) for goal in goals])
-        rows = plan.run(self.materialized, params)
-        names = list(
-            dict.fromkeys(
-                arg.name for goal in goals for arg in goal.args if isinstance(arg, Variable)
-            )
-        )
-        take = _take([plan.slots[name] for name in names])
-        return [dict(zip(names, take(row))) for row in rows]
+    def ask(self, *goals: Union[Atom, Goal]) -> List[Dict[str, Any]]:
+        """Answers to the conjunction of *goals* as variable bindings, or
+        to one compiled :class:`Goal` under its columns."""
+        return Goal.of(goals).answers(self.materialized)
 
     def holds(self, goal: Atom) -> bool:
         """True when the ground *goal* is derivable."""

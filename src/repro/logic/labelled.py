@@ -38,11 +38,23 @@ which handles recursion via semi-naive iteration.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..errors import EvaluationError
 from .atoms import Atom
-from .engine import FactStore, FactTuple, QueryEngine, _derive
+from .engine import FactStore, FactTuple, Goal, _derive
 from .rules import DatalogRule
 
 
@@ -107,10 +119,11 @@ class LabelledProgram:
         return predicate in self._concept_map or predicate in self._rules_by_head
 
     # ------------------------------------------------------------------
-    def ask(self, *goals: Atom) -> List[Dict[str, Any]]:
+    def ask(self, *goals: Union[Atom, Goal]) -> List[Dict[str, Any]]:
         """Answers to the conjunction of *goals* as bindings of their
-        variables, sorted by the ``repr`` of the bound values so the order
-        does not depend on hashing.
+        variables (or to one compiled :class:`~repro.logic.engine.Goal`
+        under its columns), sorted by the ``repr`` of the bound values so
+        the order does not depend on hashing.
 
         Every goal and rule body reads one per-call set of ``temp``
         tables (:class:`_Tables`), so each concept is fetched from each
@@ -119,20 +132,24 @@ class LabelledProgram:
         used to optimize"); they filter after a predicate is fully
         evaluated, keeping the algorithm as the paper states it.
         """
-        for goal in goals:
-            if not self.known_predicate(goal.predicate):
+        goal = Goal.of(goals)
+        for predicate in goal.predicates:
+            if not self.known_predicate(predicate):
                 raise EvaluationError(
-                    f"unknown predicate {goal.predicate!r}: not a concept of any "
+                    f"unknown predicate {predicate!r}: not a concept of any "
                     f"registered schema and no rule derives it"
                 )
         tables = _Tables(self)
         # fill every goal's table up front: the join may stop at an empty
         # table before probing the rest, and a recursive rule behind one
         # of them must still be refused
-        for goal in goals:
-            tables.evaluate(goal.predicate)
-        answers = QueryEngine((), tables).ask(*goals)
-        return sorted(answers, key=lambda answer: repr(tuple(answer.values())))
+        for predicate in goal.predicates:
+            tables.evaluate(predicate)
+        columns = goal.columns
+        return [
+            dict(zip(columns, values))
+            for values in sorted(goal.values(tables), key=repr)
+        ]
 
     def evaluation(self, goal: Atom) -> List[Dict[str, Any]]:
         """Appendix B's ``evaluation(q, Q)`` for the (possibly non-ground)

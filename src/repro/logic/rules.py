@@ -226,9 +226,13 @@ class DatalogRule:
         return f"{self.head} ⇐ {', '.join(str(lit) for lit in self.body)}"
 
 
-def compile_rules(rules: Iterable[Rule]) -> List[DatalogRule]:
-    """Flatten a collection of surface rules for the engine."""
+def compile_rules(rules: Iterable[Union[Rule, DatalogRule]]) -> List[DatalogRule]:
+    """Flatten a collection of surface rules for the engine; rules that
+    are already flat pass through as they are."""
     compiled: List[DatalogRule] = []
     for rule in rules:
-        compiled.extend(rule.compile())
+        if isinstance(rule, DatalogRule):
+            compiled.append(rule)
+        else:
+            compiled.extend(rule.compile())
     return compiled

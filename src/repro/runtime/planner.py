@@ -85,6 +85,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: integrated schema itself — so they never widen the scan set
 _SCAN_FREE_PREDICATES = frozenset({"same_object", "is_a"})
 
+#: one origin's narrowing decisions: per ``where`` position of a query
+#: shape, ``(local attribute, "")`` or ``(None, why not)``
+Decisions = Tuple[Tuple[Optional[str], str], ...]
+
 
 @dataclasses.dataclass(frozen=True)
 class QueryPlan:
@@ -107,6 +111,44 @@ class QueryPlan:
     unnarrowed: Dict[Tuple[str, str], str] = dataclasses.field(
         default_factory=dict
     )
+    #: on a cache-off plan, every origin of the queried class → per
+    #: ``where`` position, the local attribute a selection tests or None
+    #: and why not (None for the whole origin: no local schema); what
+    #: :meth:`bind` needs to narrow for other constants of the same shape
+    narrowing: Dict[Tuple[str, str], Optional[Decisions]] = dataclasses.field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def bind(self, where: Sequence[Tuple[str, Any]]) -> "QueryPlan":
+        """This plan for a query of the same shape with the constants of
+        *where*: the same classes and scans, its own selections.
+
+        An origin is narrowed on every position whose local attribute is
+        known and whose constant is hashable (it becomes part of request
+        identity); one with none stays full, with the first reason in
+        ``where`` order."""
+        if not self.narrowing:
+            return self
+        selections: Dict[Tuple[str, str], Selection] = {}
+        unnarrowed: Dict[Tuple[str, str], str] = {}
+        for origin, decisions in self.narrowing.items():
+            if decisions is None:
+                unnarrowed[origin] = "no local schema"
+                continue
+            tests: List[Tuple[str, Any]] = []
+            reason = ""
+            for (local, why), (_, constant) in zip(decisions, where):
+                if not _hashable(constant):
+                    reason = reason or "unhashable constant"
+                elif local is None:
+                    reason = reason or why
+                else:
+                    tests.append((local, constant))
+            if tests:
+                selections[origin] = tuple(tests)
+            else:
+                unnarrowed[origin] = reason
+        return dataclasses.replace(self, selections=selections, unnarrowed=unnarrowed)
 
     def allows(self, class_name: str) -> bool:
         """May *class_name* contribute to this query's answer?"""
@@ -321,46 +363,36 @@ def _hashable(value: Any) -> bool:
     return True
 
 
-def _selections(
+def _narrowing(
     integrated: "IntegratedSchema",
     query: "FederatedQuery",
     origins: Sequence[Tuple[str, str]],
     schemas: Mapping[str, "Schema"],
     mappings: MappingRegistry,
     feeds: Sequence[_RuleFeeds],
-) -> Tuple[Dict[Tuple[str, str], Selection], Dict[Tuple[str, str], str]]:
-    """Per-origin local selections for *query*, and why the others
-    stay full (see the module docstring for the conditions)."""
-    selections: Dict[Tuple[str, str], Selection] = {}
-    unnarrowed: Dict[Tuple[str, str], str] = {}
+) -> Tuple[Dict[Tuple[str, str], Optional[Decisions]], Dict[Tuple[str, str], str]]:
+    """Per origin, what a selection could test for each ``where``
+    position of *query* (see the module docstring for the conditions),
+    or, when a rule forbids narrowing the class, no decisions and that
+    reason for every origin."""
     conflict = _rule_conflict(integrated, query.class_name, feeds)
     if conflict is not None:
-        return selections, dict.fromkeys(origins, conflict)
+        return {}, dict.fromkeys(origins, conflict)
+    narrowing: Dict[Tuple[str, str], Optional[Decisions]] = {}
     integrated_class = integrated.cls(query.class_name)
     for origin in origins:
         schema_name, local_class = origin
         local_schema = schemas.get(schema_name)
         if local_schema is None or local_class not in local_schema:
-            unnarrowed[origin] = "no local schema"
+            narrowing[origin] = None
             continue
-        where: List[Tuple[str, Any]] = []
-        reason = ""
-        for name, constant in query.where:
-            if not _hashable(constant):
-                reason = reason or "unhashable constant"
-                continue
-            local, why = _local_attribute(
+        narrowing[origin] = tuple(
+            _local_attribute(
                 integrated_class, name, schema_name, local_class, local_schema, mappings
             )
-            if local is None:
-                reason = reason or why
-            else:
-                where.append((local, constant))
-        if where:
-            selections[origin] = tuple(where)
-        else:
-            unnarrowed[origin] = reason
-    return selections, unnarrowed
+            for name, _ in query.where
+        )
+    return narrowing, {}
 
 
 def plan_query(
@@ -394,7 +426,7 @@ def plan_query(
         for schema_name, local_class in integrated_class.origins:
             if schemas is None or schema_name in schemas:
                 pairs.append((schema_name, local_class))
-    selections: Dict[Tuple[str, str], Selection] = {}
+    narrowing: Dict[Tuple[str, str], Optional[Decisions]] = {}
     unnarrowed: Dict[Tuple[str, str], str] = {}
     if query.where and query.class_name in integrated:
         origins = [
@@ -405,7 +437,7 @@ def plan_query(
         if cache_enabled:
             unnarrowed = dict.fromkeys(origins, "cache on")
         else:
-            selections, unnarrowed = _selections(
+            narrowing, unnarrowed = _narrowing(
                 integrated,
                 query,
                 origins,
@@ -418,6 +450,6 @@ def plan_query(
         contributing=contributing,
         pruned=tuple(pruned),
         pairs=tuple(dict.fromkeys(pairs)),
-        selections=selections,
         unnarrowed=unnarrowed,
-    )
+        narrowing=narrowing,
+    ).bind(query.where)
