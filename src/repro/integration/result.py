@@ -224,6 +224,10 @@ class IntegratedSchema:
         self.re_mapping = ReMapping()
         self.aifs = AIFRegistry()
         self.log: List[str] = []
+        #: the evaluable and inheritance rules compiled for evaluation,
+        #: set on first use (``repro.federation.evaluation.integration_rules``)
+        #: and dropped whenever a rule or an is-a link changes
+        self.compiled_rules: Optional[Tuple[Any, ...]] = None
 
     # ------------------------------------------------------------------
     # classes and the IS(...) map
@@ -288,12 +292,14 @@ class IntegratedSchema:
         if link in self._is_a:
             return False
         self._is_a.add(link)
+        self.compiled_rules = None
         return True
 
     def remove_is_a(self, child: str, parent: str) -> bool:
         """Remove a redundant link (§6.2); True when it existed."""
         try:
             self._is_a.remove((child, parent))
+            self.compiled_rules = None
             return True
         except KeyError:
             return False
@@ -329,6 +335,7 @@ class IntegratedSchema:
     def add_rule(self, rule: Rule, principle: str, evaluable: bool = True) -> IntegratedRule:
         integrated = IntegratedRule(rule, principle, evaluable)
         self.rules.append(integrated)
+        self.compiled_rules = None
         return integrated
 
     def evaluable_rules(self) -> List[Rule]:

@@ -94,6 +94,22 @@ class TestInheritanceRules:
         # (lecturer → faculty via the single Fig 18(c) link → employee).
         assert len(employees) == 2
 
+    def test_the_compiled_program_lives_on_the_integration(self, integrated_with_dbs):
+        from repro.federation.evaluation import integration_rules
+        from repro.logic import compile_rules
+
+        integrated, _ = integrated_with_dbs
+        program = integration_rules(integrated)
+        assert program == tuple(
+            compile_rules(integrated.evaluable_rules() + inheritance_rules(integrated))
+        )
+        assert integration_rules(integrated) is program  # compiled once
+        child, parent = integrated.is_a_links()[0]
+        integrated.remove_is_a(child, parent)
+        assert len(integration_rules(integrated)) == len(program) - 1
+        integrated.add_is_a(child, parent)
+        assert integration_rules(integrated) == program
+
 
 class TestAgentSource:
     def test_fetch_serves_only_own_schema(self, integrated_with_dbs):
